@@ -198,7 +198,9 @@ def measure_h(sys: DiagonalSemigroup, B: InputOperator, t: float,
     for q = inf, normalized single-cell impulses for q = 2).  Upper bound:
     the certified analytic bound for the declared class; on the truncation
     every operator is bounded, so the bounded-operator bound always applies
-    and the smooth-class bound is taken when it is sharper.
+    and the smooth-class bound is taken when it is sharper.  The pair is
+    returned as computed: a lower bound above the upper one exposes a growth
+    certificate (M, lam) that does not hold.
     """
     if t < 0:
         raise ValueError("negative time")
@@ -229,24 +231,30 @@ def measure_h(sys: DiagonalSemigroup, B: InputOperator, t: float,
                     u = InputSignal(grid, values)
                     lower = max(lower, float(np.linalg.norm(convolve(sys, B, u, t))))
 
-    upper = _upper_bound_truncation(sys, B, t, q)
-    if isinstance(B.declared_class, SmoothClass) and q == np.inf:
-        try:
-            upper = min(upper, upper_bound_h(sys, B, 0.0, t))
-        except ValueError:
-            pass
-    return lower, max(upper, lower)
-
-
-def _upper_bound_truncation(sys: DiagonalSemigroup, B: InputOperator,
-                            t: float, q: float) -> float:
-    """Bounded-operator admissibility bound, valid on the truncation."""
-    nB = B.norm()
-    lam = sys.lam
     if q == np.inf:
-        return nB * sys.M * t * float(phi1(lam * t))
+        return lower, _h_inf_bound(sys, B, t)
     # Cauchy-Schwarz: |int T B u| <= M |B| (int e^{2 lam s} ds)^{1/2} |u|_{L^2}
-    return nB * sys.M * float(np.sqrt(t * phi1(2.0 * lam * t)))
+    return lower, B.norm() * sys.M * float(np.sqrt(t * phi1(2.0 * sys.lam * t)))
+
+
+def _bounded_h(sys, norm: float, t: float) -> float:
+    """norm * M t phi1(lam t) = norm * M (e^{lam t} - 1)/lam: the
+    zero-class infinity-admissibility bound of a bounded operator of the
+    given norm under |T(t)| <= M e^{lam t}."""
+    return norm * sys.M * t * float(phi1(sys.lam * t))
+
+
+def _h_inf_bound(sys, B: InputOperator, t: float) -> float:
+    """Certified upper bound on h_t for q = inf in the X norm.
+
+    On the truncation every operator is bounded, so the bounded-operator
+    bound always applies; a smooth-class declaration on an analytic
+    semigroup adds the t^alpha smoothing bound, taken when it is sharper.
+    """
+    upper = _bounded_h(sys, B.norm(), t)
+    if isinstance(B.declared_class, SmoothClass) and sys.analytic:
+        upper = min(upper, upper_bound_h(sys, B, 0.0, t))
+    return upper
 
 
 def upper_bound_h(sys: DiagonalSemigroup, B: InputOperator, d: float,
@@ -282,10 +290,9 @@ def c_constant(sys, B2: Optional[InputOperator], t: float) -> float:
     """
     if t < 0:
         raise ValueError("negative time")
-    nB2 = 1.0 if B2 is None else B2.norm()
     cls = Bounded() if B2 is None else B2.declared_class
     if isinstance(cls, Bounded):
-        return nB2 * sys.M * t * float(phi1(sys.lam * t))
+        return _bounded_h(sys, 1.0 if B2 is None else B2.norm(), t)
     if isinstance(cls, SmoothClass):
         return upper_bound_h(sys, B2, 0.0, t)
     raise ValueError(

@@ -30,7 +30,7 @@ from .core import InputSignal, Nonlinearity, KinfFunction, SpectralState, stack_
 from .semigroup import heat_dirichlet_semigroup
 from .admissibility import InputOperator, Bounded, SmoothClass
 from .nonlinearities import LocalTerm, make_local_term
-from .solver import EvolutionSystem, SolverConfig, Trajectory, solve_analytic
+from .solver import EvolutionSystem, SolverConfig, Trajectory, solve
 
 __all__ = [
     "SineBasis",
@@ -263,8 +263,7 @@ class BurgersSystem:
             sig = stack_channels(u, d)
         else:
             sig = u if u is not None else d
-        return solve_analytic(sys, x0, sig, t_end, cfg,
-                              checkpoint_times=checkpoint_times)
+        return solve(sys, x0, sig, t_end, cfg, checkpoint_times=checkpoint_times)
 
     def physical_snapshot(self, state: SpectralState):
         """(grid, values) pair for export."""

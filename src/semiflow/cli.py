@@ -1,8 +1,10 @@
 """Command line front end: execute a scenario file into an output directory.
 
 Exit codes: 0 run succeeded and expectations held, 2 the run finished but
-an expectation in the scenario did not hold, 1 configuration or runtime
-error (nothing written in that case).
+an expectation in the scenario did not hold, 3 a solve or burgers run
+ended with status failed (no window could be certified) and the scenario
+does not expect status "failed" (outputs are written), 1 configuration or
+runtime error (nothing written in that case).
 """
 
 from __future__ import annotations

@@ -17,21 +17,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .core import InputSignal, Nonlinearity, SpectralState, signal_sup_distance
-from .admissibility import c_constant
 from .solver import (
     EvolutionSystem,
     SolverConfig,
     Trajectory,
     solve,
     global_bound,
-    _analytic_gain,
-    _analytic_input_constant,
-    _input_constant,
 )
 
 __all__ = [
@@ -104,15 +100,6 @@ def reports_to_json(reports: Sequence[PropertyReport], path: str) -> None:
 # ---------------------------------------------------------------------------
 # seeded sample generation
 
-def _working_weights(sys: EvolutionSystem) -> Optional[np.ndarray]:
-    a = sys.analytic_alpha or 0.0
-    return sys.semigroup.frac_weights(a) if a > 0.0 else None
-
-
-def _wnorm(c: np.ndarray, w: Optional[np.ndarray]) -> float:
-    return float(np.linalg.norm(c if w is None else w * c))
-
-
 def draw_states(rng: np.random.Generator, n_modes: int, radius: float,
                 count: int, weights: Optional[np.ndarray] = None) -> List[np.ndarray]:
     """count states of working norm <= radius; axis corners first.
@@ -133,7 +120,7 @@ def draw_states(rng: np.random.Generator, n_modes: int, radius: float,
         out.append(e)
     while len(out) < count:
         x = rng.normal(size=n_modes) * env / w
-        nrm = _wnorm(x, weights)
+        nrm = float(np.linalg.norm(w * x))
         if nrm > 0:
             out.append(x * (radius * rng.uniform(0.3, 1.0) / nrm))
         else:
@@ -155,16 +142,6 @@ def draw_signals(rng: np.random.Generator, m: int, radius: float,
     return out[:count]
 
 
-def _gain_and_input(sys: EvolutionSystem, t: float) -> Tuple[float, float]:
-    """(c_t for the nonlinear channel, h_t for the input channel) at time t,
-    in the working norm of the system's mode."""
-    alpha = sys.analytic_alpha or 0.0
-    sg = sys.semigroup
-    if alpha > 0.0:
-        return _analytic_gain(sg, alpha, t), _analytic_input_constant(sg, sys.B, alpha, t)
-    return c_constant(sg, sys.B2, t), _input_constant(sg, sys.B, t)
-
-
 # ---------------------------------------------------------------------------
 # control-system axioms
 
@@ -179,7 +156,6 @@ def cocycle_residual(sys: EvolutionSystem, x0: SpectralState,
     cfg = cfg or SolverConfig()
     if not 0.0 < split < t_end:
         raise ValueError("split must lie strictly inside (0, t_end)")
-    w = _working_weights(sys)
     a = solve(sys, x0, u, t_end, cfg)
     if a.status.kind != "completed":
         raise RuntimeError(f"direct run did not complete: {a.status}")
@@ -188,7 +164,7 @@ def cocycle_residual(sys: EvolutionSystem, x0: SpectralState,
     b = solve(sys, x_mid, u_tail, t_end - split, cfg)
     if b.status.kind != "completed":
         raise RuntimeError(f"restarted run did not complete: {b.status}")
-    return _wnorm(a.coeffs[-1] - b.coeffs[-1], w)
+    return sys.working_norm(a.coeffs[-1] - b.coeffs[-1])
 
 
 def check_axioms(sys: EvolutionSystem, t_end: float, n_samples: int = 5,
@@ -208,7 +184,7 @@ def check_axioms(sys: EvolutionSystem, t_end: float, n_samples: int = 5,
     """
     cfg = cfg or SolverConfig()
     rng = np.random.default_rng(seed)
-    w = _working_weights(sys)
+    w = sys.weights if sys.alpha > 0.0 else None
     m = sys.input_channels
     states = draw_states(rng, sys.n_modes, radius, n_samples, w)
     inputs = draw_signals(rng, m, input_radius, t_end, n_samples)
@@ -231,7 +207,7 @@ def check_axioms(sys: EvolutionSystem, t_end: float, n_samples: int = 5,
         atol = 1e-12 * scale
 
         # identity: the trajectory must begin exactly at x0
-        d_id = _wnorm(traj.coeffs[0] - x0.coeffs, w)
+        d_id = sys.working_norm(traj.coeffs[0] - x0.coeffs)
         r = d_id / atol
         if r > worst["identity"]:
             worst["identity"] = r
@@ -240,7 +216,7 @@ def check_axioms(sys: EvolutionSystem, t_end: float, n_samples: int = 5,
         # causality: swapping the input tail after s_c cannot move phi(s_c)
         u_alt = InputSignal.concat(u, tails[i], s_c)
         traj2 = solve(sys, x0, u_alt, t_end, cfg, checkpoint_times=[s_c])
-        d_c = _wnorm(traj.state_at(s_c).coeffs - traj2.state_at(s_c).coeffs, w)
+        d_c = sys.working_norm(traj.state_at(s_c).coeffs - traj2.state_at(s_c).coeffs)
         cert = atol + 20.0 * cfg.picard_tol * max(len(traj.diagnostics), 1)
         r = d_c / cert
         if r > worst["causality"]:
@@ -248,15 +224,15 @@ def check_axioms(sys: EvolutionSystem, t_end: float, n_samples: int = 5,
             witness["causality"] = {"sample": i, "difference": d_c, "certified": cert}
 
         # continuity: every substep increment against its certificate
-        r, info = _continuity_ratio(sys, traj, u, w, cfg)
+        r, info = _continuity_ratio(sys, traj, u, cfg)
         if r > worst["continuity"]:
             worst["continuity"] = r
             witness["continuity"] = {"sample": i, **info}
         fine = solve(sys, x0, u, t_end,
                      replace(cfg, substeps_per_window=2 * cfg.substeps_per_window),
                      checkpoint_times=[s_c])
-        inc_c = _max_increment(traj, w)
-        inc_f = _max_increment(fine, w)
+        inc_c = _max_row_norm(np.diff(traj.coeffs, axis=0), sys.weights)
+        inc_f = _max_row_norm(np.diff(fine.coeffs, axis=0), sys.weights)
         r = inc_f / (1.01 * inc_c + atol)
         if r > worst["continuity"]:
             worst["continuity"] = r
@@ -280,18 +256,15 @@ def check_axioms(sys: EvolutionSystem, t_end: float, n_samples: int = 5,
     return _report("axioms", n_samples, ratio, witness, tol=tol)
 
 
-def _max_increment(traj: Trajectory, w: Optional[np.ndarray]) -> float:
-    d = np.diff(traj.coeffs, axis=0)
-    if w is not None:
-        d = d * w[None, :]
+def _max_row_norm(rows: np.ndarray, w: np.ndarray) -> float:
+    """Largest working norm among the rows (weights w); 0 without rows."""
+    d = rows * w[None, :]
     return float(np.max(np.linalg.norm(d, axis=1))) if d.shape[0] else 0.0
 
 
 def _continuity_ratio(sys: EvolutionSystem, traj: Trajectory,
-                      u: Optional[InputSignal], w: Optional[np.ndarray],
-                      cfg: SolverConfig):
+                      u: Optional[InputSignal], cfg: SolverConfig):
     """Worst increment / certificate over all consecutive sample pairs."""
-    alpha = sys.analytic_alpha or 0.0
     sg = sys.semigroup
     bounds_start = list(traj.window_boundaries) + [traj.n_samples - 1]
     worst, info = 0.0, {}
@@ -304,13 +277,13 @@ def _continuity_ratio(sys: EvolutionSystem, traj: Trajectory,
             u_sup = u.sup_norm(d.t_start, min(d.t_start + d.t1, u.horizon))
         else:
             u_sup = 0.0
-        gain_h, in_h = _gain_and_input(sys, h)
+        gain_h, in_h = sys.gain(h), sys.input_gain(h)
         load = d.lipschitz * (d.K + d.delta) \
             + sys.f.growth_sigma(u_sup) + sys.f.growth_c
         flat = in_h * u_sup + gain_h * load
         for j in range(lo, hi):
-            inc = _wnorm(traj.coeffs[j + 1] - traj.coeffs[j], w)
-            cert = sg.sg_distance(h, traj.coeffs[j], alpha) + flat + 1e-13
+            inc = sys.working_norm(traj.coeffs[j + 1] - traj.coeffs[j])
+            cert = sg.sg_distance(h, traj.coeffs[j], sys.alpha) + flat + 1e-13
             if inc / cert > worst:
                 worst = inc / cert
                 info = {"t": float(traj.times[j]), "increment": inc,
@@ -331,7 +304,6 @@ def check_deviation(sys: EvolutionSystem, x1: SpectralState, x2: SpectralState,
     trajectory used.  Shorter windows only enlarge R, so the bound stays
     valid for the chained window argument."""
     cfg = cfg or SolverConfig()
-    w = _working_weights(sys)
     cps = list(np.linspace(0.0, tau, n_checkpoints + 1)[1:])
     t1_ = solve(sys, x1, u, tau, cfg, checkpoint_times=cps)
     t2_ = solve(sys, x2, u, tau, cfg, checkpoint_times=cps)
@@ -343,10 +315,10 @@ def check_deviation(sys: EvolutionSystem, x1: SpectralState, x2: SpectralState,
     t1_min = min(d.t1 for d in t1_.diagnostics + t2_.diagnostics)
     sg = sys.semigroup
     R = sg.lam + math.log(2.0 * sg.M) / t1_min
-    d0 = _wnorm(x1.coeffs - x2.coeffs, w)
+    d0 = sys.working_norm(x1.coeffs - x2.coeffs)
     worst, witness = 0.0, {"R": R, "t1": t1_min, "initial_distance": d0}
     for t in cps:
-        dev = _wnorm(t1_.state_at(t).coeffs - t2_.state_at(t).coeffs, w)
+        dev = sys.working_norm(t1_.state_at(t).coeffs - t2_.state_at(t).coeffs)
         # compare in log space: R t easily exceeds the float exp range
         # when a trajectory needed very short certified windows
         log_bound = math.log(2.0 * sg.M) + R * t + \
@@ -371,7 +343,7 @@ def deviation_suite(sys: EvolutionSystem, tau: float, n_pairs: int = 20,
                     tol: float = REPORT_TOLERANCE) -> PropertyReport:
     """Seeded aggregation of check_deviation over random pairs."""
     rng = np.random.default_rng(seed)
-    w = _working_weights(sys)
+    w = sys.weights if sys.alpha > 0.0 else None
     states = draw_states(rng, sys.n_modes, radius, 2 * n_pairs, w)
     inputs = draw_signals(rng, sys.input_channels, input_radius, tau, n_pairs)
     worst, witness, used = 0.0, {}, 0
@@ -408,7 +380,6 @@ def check_continuous_dependence(sys: EvolutionSystem, pairs, tau: float,
     pairs = list(pairs)
     cfg = cfg or SolverConfig()
     sg = sys.semigroup
-    w = _working_weights(sys)
     cps = sorted({tau * 2.0 ** (-j) for j in range(11)})
     worst, witness, used = 0.0, {}, 0
     for i, ((x1, u1), (x2, u2)) in enumerate(pairs):
@@ -418,10 +389,10 @@ def check_continuous_dependence(sys: EvolutionSystem, pairs, tau: float,
             continue
         used += 1
         t1 = min(r1.diagnostics[0].t1, r2.diagnostics[0].t1)
-        dx = _wnorm(x1.coeffs - x2.coeffs, w)
+        dx = sys.working_norm(x1.coeffs - x2.coeffs)
         du_w = signal_sup_distance(u1, u2, t1)
         du_full = signal_sup_distance(u1, u2, tau)
-        _, h_t1 = _gain_and_input(sys, t1)
+        h_t1 = sys.input_gain(t1)
         growth = 2.0 * sg.M * math.exp(sg.lam * t1)
         bound_w = growth * dx + 2.0 * h_t1 * du_w + q(du_w)
 
@@ -429,7 +400,7 @@ def check_continuous_dependence(sys: EvolutionSystem, pairs, tau: float,
         for t in cps:
             if t > t1 + 1e-13:
                 break
-            dev = _wnorm(r1.state_at(t).coeffs - r2.state_at(t).coeffs, w)
+            dev = sys.working_norm(r1.state_at(t).coeffs - r2.state_at(t).coeffs)
             r = 0.0 if bound_w < 1e-14 and dev < 1e-12 else dev / max(bound_w, 1e-300)
             if r > ratio_i:
                 ratio_i = r
@@ -445,7 +416,8 @@ def check_continuous_dependence(sys: EvolutionSystem, pairs, tau: float,
                 D = math.inf
                 break
         sup_dev = max(
-            _wnorm(r1.state_at(t).coeffs - r2.state_at(t).coeffs, w) for t in cps)
+            sys.working_norm(r1.state_at(t).coeffs - r2.state_at(t).coeffs)
+            for t in cps)
         r_prop = 0.0 if D == math.inf else (
             0.0 if D < 1e-14 and sup_dev < 1e-12 else sup_dev / max(D, 1e-300))
         ratio_i = max(ratio_i, r_prop)
@@ -468,11 +440,10 @@ def saturated_system(sys: EvolutionSystem) -> EvolutionSystem:
     v).  Retractions are 1-Lipschitz in a Hilbert norm, so the local
     certificates at radius 1 become uniform ones; inside the unit ball the
     companion coincides with the original system."""
-    w = _working_weights(sys)
+    w = sys.weights[None, :]
 
     def sat_rows(X: np.ndarray) -> np.ndarray:
-        Xw = X if w is None else X * w[None, :]
-        nrm = np.linalg.norm(Xw, axis=-1, keepdims=True)
+        nrm = np.linalg.norm(X * w, axis=-1, keepdims=True)
         return X / np.maximum(nrm, 1.0)
 
     def sat_vec(v: np.ndarray) -> np.ndarray:
@@ -529,7 +500,7 @@ def check_cep(sys: EvolutionSystem, eps_grid: Sequence[float],
         raise ValueError(f"origin is not an equilibrium: |f(0,0)| = {f00:.3g}")
     cfg = cfg or SolverConfig()
     sat = saturated_system(sys)
-    w = _working_weights(sys)
+    w = sys.weights if sys.alpha > 0.0 else None
     rng = np.random.default_rng(seed)
     m = sys.input_channels
 
@@ -547,10 +518,7 @@ def check_cep(sys: EvolutionSystem, eps_grid: Sequence[float],
                     if traj.status.kind != "completed":
                         sup = math.inf
                         break
-                    if traj.alpha_norms is not None:
-                        sup = max(sup, float(np.max(traj.alpha_norms)))
-                    else:
-                        sup = max(sup, traj.sup_norm())
+                    sup = max(sup, _max_row_norm(traj.coeffs, sys.weights))
                 if sup <= eps * (1.0 + 1e-9):
                     found, sup_found = delta, sup
                     break
@@ -581,7 +549,7 @@ def check_brs(sys: EvolutionSystem, C: float, tau: float, n_samples: int = 20,
     """
     cfg = cfg or SolverConfig()
     rng = np.random.default_rng(seed)
-    w = _working_weights(sys)
+    w = sys.weights if sys.alpha > 0.0 else None
     states = draw_states(rng, sys.n_modes, C, n_samples, w)
     signals = draw_signals(rng, sys.input_channels, C, tau, n_samples)
     sup_x, sup_w, witness = 0.0, 0.0, {}
@@ -599,15 +567,11 @@ def check_brs(sys: EvolutionSystem, C: float, tau: float, n_samples: int = 20,
         s = traj.sup_norm()
         if s > sup_x:
             sup_x, witness = s, {"sample": i, "sup": s}
-        if traj.alpha_norms is not None:
-            sup_w = max(sup_w, float(np.max(traj.alpha_norms)))
-        else:
-            sup_w = sup_x
+        sup_w = max(sup_w, _max_row_norm(traj.coeffs, sys.weights))
     witness["sampled_sup"] = sup_x
     if sys.f.uniform_lipschitz is None:
         return _report("brs", n_samples, 0.0, witness,
                        notes="no uniform certificate; sampled sup only", tol=tol)
     bound = global_bound(sys, C, C, tau, cfg)
     witness["certified_bound"] = bound
-    measured = sup_w if (sys.analytic_alpha or 0.0) > 0.0 else sup_x
-    return _report("brs", n_samples, measured / bound, witness, tol=tol)
+    return _report("brs", n_samples, sup_w / bound, witness, tol=tol)

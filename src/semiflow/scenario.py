@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from typing import Dict, List, Optional
 
 import jsonschema
@@ -50,7 +51,6 @@ from .solver import (
     SolverConfig,
     Trajectory,
     solve,
-    solve_analytic,
     trajectory_diagnostics_json,
     trajectory_to_csv,
 )
@@ -423,8 +423,6 @@ def _build_operator(spec: dict, n_modes: int) -> InputOperator:
         coeffs = scale * np.eye(n_modes)
     else:
         coeffs = scale * np.asarray(spec["coeffs"], float)
-        if coeffs.ndim == 1:
-            coeffs = coeffs[:, None]
     if coeffs.shape[0] != n_modes:
         raise ScenarioError(
             f"operator has {coeffs.shape[0]} mode rows, semigroup has {n_modes}")
@@ -450,8 +448,7 @@ def _build_input(spec: Optional[dict], m: Optional[int] = None):
     if spec is None:
         return None
     if "poly" in spec:
-        c = np.asarray(spec["poly"], float)
-        sig = PolySignal(c if c.ndim == 2 else c[:, None])
+        sig = PolySignal(np.asarray(spec["poly"], float))
     elif "constant" in spec:
         sig = InputSignal.constant(
             np.atleast_1d(np.asarray(spec["constant"], float)), spec["horizon"])
@@ -527,8 +524,6 @@ def _check_traj_expect(expect: Optional[dict], traj: Trajectory) -> List[str]:
 
 
 def _finish(out_dir: str, mismatches: List[str], quiet: bool, summary: str) -> int:
-    import sys
-
     if not quiet and summary:
         print(summary)
     if mismatches:
@@ -536,6 +531,17 @@ def _finish(out_dir: str, mismatches: List[str], quiet: bool, summary: str) -> i
             print(f"expectation failed: {msg}", file=sys.stderr)
         return 2
     return 0
+
+
+def _finish_traj(out_dir: str, expect: Optional[dict], traj: Trajectory,
+                 quiet: bool, summary: str) -> int:
+    """_finish for solve and burgers runs.  A run whose window certificate
+    failed exits 3, whatever else held, unless expect.status is "failed"."""
+    code = _finish(out_dir, _check_traj_expect(expect, traj), quiet, summary)
+    if traj.status.kind != "failed" or (expect or {}).get("status") == "failed":
+        return code
+    print(f"certification failed: {traj.status.reason}", file=sys.stderr)
+    return 3
 
 
 # ---------------------------------------------------------------------------
@@ -548,15 +554,14 @@ def _run_solve(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
     # u drives B when present; without B the channel count is f's business
     u = _build_input(sc.get("input"), sys_.B.m if sys_.B is not None else None)
     cfg = _build_cfg(sc.get("solver"), substeps)
-    runner = solve_analytic if (sys_.analytic_alpha or 0.0) > 0.0 else solve
-    traj = runner(sys_, x0, u, sc["t_end"], cfg,
-                  checkpoint_times=sc.get("checkpoints"))
+    traj = solve(sys_, x0, u, sc["t_end"], cfg,
+                 checkpoint_times=sc.get("checkpoints"))
     os.makedirs(out_dir, exist_ok=True)
     trajectory_to_csv(traj, os.path.join(out_dir, "trajectory.csv"))
     trajectory_diagnostics_json(traj, os.path.join(out_dir, "diagnostics.json"))
     summary = (f"solve: status={traj.status.kind} t_final={traj.times[-1]:.6g} "
                f"samples={traj.n_samples} windows={len(traj.diagnostics)}")
-    return _finish(out_dir, _check_traj_expect(sc.get("expect"), traj), quiet, summary)
+    return _finish_traj(out_dir, sc.get("expect"), traj, quiet, summary)
 
 
 def _run_burgers(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
@@ -599,7 +604,7 @@ def _run_burgers(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
                 fh.write(f"{zi!r},{vi!r}\n")
     summary = (f"burgers: status={traj.status.kind} t_final={traj.times[-1]:.6g} "
                f"samples={traj.n_samples}")
-    return _finish(out_dir, _check_traj_expect(sc.get("expect"), traj), quiet, summary)
+    return _finish_traj(out_dir, sc.get("expect"), traj, quiet, summary)
 
 
 def _run_props(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
@@ -659,17 +664,14 @@ def _dependence_pairs(sys_: EvolutionSystem, p: dict, seed: int):
     radius = p.get("radius", 0.5)
     eps0 = p.get("perturbation", 0.1)
     tau = p.get("tau", 0.5)
-    a = sys_.analytic_alpha or 0.0
-    w = sys_.semigroup.frac_weights(a) if a > 0.0 else None
+    w = sys_.weights if sys_.alpha > 0.0 else None
     states = draw_states(rng, sys_.n_modes, radius, n_pairs, w)
     signals = draw_signals(rng, sys_.input_channels, radius, tau, n_pairs)
     pairs = []
     for i in range(n_pairs):
         eps = eps0 * 0.5 ** i
-        dx = rng.normal(size=sys_.n_modes)
-        if w is not None:
-            dx = dx / w
-        dx *= eps / max(float(np.linalg.norm(dx if w is None else w * dx)), 1e-300)
+        dx = rng.normal(size=sys_.n_modes) / sys_.weights
+        dx *= eps / max(sys_.working_norm(dx), 1e-300)
         u1 = signals[i]
         dv = rng.normal(size=u1.m)
         dv *= eps / max(float(np.linalg.norm(dv)), 1e-300)
@@ -725,17 +727,15 @@ def _run_bcs(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
                                  omega=sc.get("omega", 1.0))
     bcs_obj.validate()
     n = bcs_obj.semigroup.n_modes
-    c = np.asarray(sc["input_poly"], float)
     try:
-        u = PolySignal(c if c.ndim == 2 else c[:, None])
+        u = PolySignal(np.asarray(sc["input_poly"], float))
     except ValueError as e:
         raise ScenarioError(f"input_poly: {e}") from e
     if u.m != bcs_obj.m:
         raise ScenarioError(f"input_poly has {u.m} channels, system has {bcs_obj.m}")
     w = None
     if "w_poly" in sc:
-        cw = np.asarray(sc["w_poly"], float)
-        w = PolySignal(cw if cw.ndim == 2 else cw[:, None])
+        w = PolySignal(np.asarray(sc["w_poly"], float))
     f = None
     if "nonlinearity" in sc:
         nl = sc["nonlinearity"]
@@ -788,5 +788,6 @@ def run_scenario(sc: dict, out_dir: str, seed: Optional[int] = None,
                  substeps: Optional[int] = None, modes: Optional[int] = None,
                  quiet: bool = False) -> int:
     """Execute a validated scenario; returns the process exit code
-    (0 success, 2 expectation mismatch)."""
+    (0 success, 2 expectation mismatch, 3 a solve or burgers run whose
+    certification failed and was not expected to)."""
     return _RUNNERS[sc["task"]](sc, out_dir, seed, substeps, modes, quiet)

@@ -77,6 +77,11 @@ class DiagonalSemigroup:
             object.__setattr__(self, "lam", float(max(0.0, np.max(mu))))
         if self.M < 1.0:
             raise ValueError("growth constant M must be >= 1")
+        # |T(t)| = e^{max mu t}, which outgrows M e^{lam t} for any lam < max mu
+        if self.lam < np.max(mu):
+            raise ValueError(
+                f"lam={self.lam} lies below the growth bound {np.max(mu)}"
+            )
         if self.omega <= np.max(mu):
             raise ValueError(
                 f"omega={self.omega} must exceed the growth bound {np.max(mu)}"
@@ -107,16 +112,6 @@ class DiagonalSemigroup:
         if np.any(base <= 0.0):
             raise ValueError("omega below the growth bound of some mode")
         return base ** alpha
-
-    def apply_fractional(self, alpha: float, coeffs: np.ndarray) -> np.ndarray:
-        """(omega*I - A)^alpha x.  alpha = -1 maps X onto X_{-1} coordinates."""
-        return self.frac_weights(alpha) * np.asarray(coeffs, float)
-
-    def norm_beta(self, coeffs: np.ndarray, beta: float = 0.0) -> float:
-        """Norm of the X_beta member of the fractional scale, beta in [-1, 1]."""
-        if beta == 0.0:
-            return float(np.linalg.norm(coeffs))
-        return float(np.linalg.norm(self.apply_fractional(beta, coeffs)))
 
     def frac_T_norm(self, alpha: float, t: float) -> float:
         """Operator norm |(omega*I - A)^alpha T(t)| = max_n (omega-mu_n)^alpha e^{mu_n t}.

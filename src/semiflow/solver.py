@@ -17,14 +17,16 @@ O(h^2) reconstruction error.
 
 In analytic mode the iteration runs on y = (omega*I - A)^alpha x with the
 singular-kernel window certificate; a bounded-generator dense-matrix mode
-covers finite ODE systems with the same code path.
+covers finite ODE systems with the same code path.  EvolutionSystem owns
+the working norm (X, or X_alpha in analytic mode) and the window constants
+c_t (nonlinear channel) and h_t (input channel) every certificate reads.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -42,7 +44,8 @@ from .admissibility import (
     convolve,
     ladder_divergence_ratio,
     upper_bound_h,
-    _upper_bound_truncation,
+    _bounded_h,
+    _h_inf_bound,
 )
 
 __all__ = [
@@ -179,6 +182,9 @@ class EvolutionSystem:
     is still well-defined but the window certificates are truncation-level
     only; the deficit is recorded in input_regularity_deficit rather than
     refused, since the canonical boundary-driven example lives there.
+
+    weights are the X_alpha mode weights in analytic mode and exact ones
+    otherwise, so X-mode arithmetic through them changes no bit.
     """
 
     semigroup: Union[DiagonalSemigroup, DenseGenerator]
@@ -186,33 +192,41 @@ class EvolutionSystem:
     B: Optional[InputOperator] = None
     B2: Optional[InputOperator] = None
     analytic_alpha: Optional[float] = None
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         sg = self.semigroup
         for op, name in ((self.B, "B"), (self.B2, "B2")):
             if op is not None and op.n_modes != sg.n_modes:
                 raise ValueError(f"{name} mode count does not match the semigroup")
+        a = self.alpha
         if isinstance(sg, DenseGenerator):
-            if self.analytic_alpha not in (None, 0.0):
+            if a != 0.0:
                 raise ValueError("analytic mode needs a diagonal analytic semigroup")
             for op, name in ((self.B, "B"), (self.B2, "B2")):
                 if op is not None and not isinstance(op.declared_class, Bounded):
                     raise ValueError(
                         f"{name}: only bounded operators enter the dense ODE mode"
                     )
-        if self.analytic_alpha is not None:
-            a = self.analytic_alpha
-            if not 0.0 <= a < 1.0:
-                raise ValueError("analytic order must lie in [0, 1)")
-            if a > 0.0:
-                if not (isinstance(sg, DiagonalSemigroup) and sg.analytic):
-                    raise ValueError("analytic mode needs an analytic semigroup")
-                if self.B2 is not None:
-                    raise ValueError("analytic mode fixes B2 to the identity")
-                if self.B is not None and isinstance(self.B.declared_class, QAdmissible):
-                    raise ValueError(
-                        "analytic mode needs a bounded or smooth_class input operator"
-                    )
+        if not 0.0 <= a < 1.0:
+            raise ValueError("analytic order must lie in [0, 1)")
+        if a > 0.0:
+            if not (isinstance(sg, DiagonalSemigroup) and sg.analytic):
+                raise ValueError("analytic mode needs an analytic semigroup")
+            if self.B2 is not None:
+                raise ValueError("analytic mode fixes B2 to the identity")
+            if self.B is not None and isinstance(self.B.declared_class, QAdmissible):
+                raise ValueError(
+                    "analytic mode needs a bounded or smooth_class input operator"
+                )
+        w = sg.frac_weights(a) if a > 0.0 else np.ones(sg.n_modes)
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
+
+    @property
+    def alpha(self) -> float:
+        """Order of the working space X_alpha; 0 means X itself."""
+        return self.analytic_alpha or 0.0
 
     @property
     def n_modes(self) -> int:
@@ -221,10 +235,10 @@ class EvolutionSystem:
     @property
     def input_regularity_deficit(self) -> bool:
         """True when B's declared smoothness falls short of analytic_alpha."""
-        if self.analytic_alpha in (None, 0.0) or self.B is None:
+        if self.alpha == 0.0 or self.B is None:
             return False
         cls = self.B.declared_class
-        return isinstance(cls, SmoothClass) and cls.alpha <= self.analytic_alpha
+        return isinstance(cls, SmoothClass) and cls.alpha <= self.alpha
 
     @property
     def input_channels(self) -> int:
@@ -235,8 +249,40 @@ class EvolutionSystem:
             return g
         return g @ self.B2.coeffs.T if g.ndim == 2 else self.B2.apply(g)
 
-    def b2_norm(self) -> float:
-        return 1.0 if self.B2 is None else self.B2.norm()
+    def working_norm(self, c: np.ndarray) -> float:
+        """Norm of the raw X coefficients c in the working space."""
+        return float(np.linalg.norm(self.weights * c))
+
+    def gain(self, t: float) -> float:
+        """Window constant c_t of the nonlinear channel in the working norm.
+
+        X mode: the zero-class admissibility constant of B2.  Analytic mode:
+        C_alpha e^{kappa_+ t} t^{1-alpha}/(1-alpha), the singular-kernel
+        analogue for the identity B2.
+        """
+        sg = self.semigroup
+        if self.alpha == 0.0:
+            return c_constant(sg, self.B2, t)
+        kappa = sg.omega0 + 1.0
+        C = sg.smoothing_constant(self.alpha, kappa=kappa)
+        return (C * math.exp(max(kappa, 0.0) * t) * t ** (1.0 - self.alpha)
+                / (1.0 - self.alpha))
+
+    def input_gain(self, t: float) -> float:
+        """Window constant h_t of the B channel: a certified bound on the
+        working norm of int_0^t T_{-1}(t-s) B u(s) ds for unit-sup u."""
+        B, sg, alpha = self.B, self.semigroup, self.alpha
+        if B is None or t == 0.0:
+            return 0.0
+        if alpha == 0.0:
+            return _h_inf_bound(sg, B, t)
+        cls = B.declared_class
+        if isinstance(cls, Bounded):
+            return B.norm() * self.gain(t)
+        if isinstance(cls, SmoothClass) and cls.alpha > alpha:
+            return upper_bound_h(sg, B, alpha, t)
+        # truncation-level fallback: (omega*I - A)^alpha B is bounded on N modes
+        return _bounded_h(sg, B.weighted_norm(sg, alpha), t)
 
 
 @dataclass(frozen=True)
@@ -338,63 +384,12 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# certified constants entering the window selection
-
-
-def _input_constant(sg, B: Optional[InputOperator], t: float) -> float:
-    """Certified upper bound on h_t for the B channel (X-norm target)."""
-    if B is None or t == 0.0:
-        return 0.0
-    cls = B.declared_class
-    if isinstance(cls, Bounded) or isinstance(sg, DenseGenerator):
-        return B.norm() * sg.M * t * float(phi1(sg.lam * t))
-    if isinstance(cls, SmoothClass) and sg.analytic:
-        try:
-            return min(upper_bound_h(sg, B, 0.0, t),
-                       _upper_bound_truncation(sg, B, t, np.inf))
-        except ValueError:
-            pass
-    return _upper_bound_truncation(sg, B, t, np.inf)
-
-
-def _analytic_gain(sg: DiagonalSemigroup, alpha: float, t: float) -> float:
-    """C_alpha e^{kappa_+ t} t^{1-alpha}/(1-alpha): the singular-kernel
-    analogue of the zero-class constant for the nonlinear channel."""
-    kappa = sg.omega0 + 1.0
-    C = sg.smoothing_constant(alpha, kappa=kappa)
-    return C * math.exp(max(kappa, 0.0) * t) * t ** (1.0 - alpha) / (1.0 - alpha)
-
-
-def _analytic_input_constant(sg: DiagonalSemigroup, B: Optional[InputOperator],
-                             alpha: float, t: float) -> float:
-    """Bound on int_0^t |(omega*I-A)^alpha T_{-1}(t-s) B u(s)| ds, unit sup."""
-    if B is None or t == 0.0:
-        return 0.0
-    cls = B.declared_class
-    if isinstance(cls, Bounded):
-        return B.norm() * _analytic_gain(sg, alpha, t)
-    if isinstance(cls, SmoothClass) and cls.alpha > alpha:
-        return upper_bound_h(sg, B, alpha, t)
-    # truncation-level fallback: (omega*I - A)^alpha B is bounded on N modes
-    return B.weighted_norm(sg, alpha) * sg.M * t * float(phi1(sg.lam * t))
-
-
-def _ball_sg_distance(sg, t: float, K: float, alpha: float,
-                      start: Optional[np.ndarray]) -> float:
-    """|(T(t)-I) w| in the working norm: exact for a given start state, the
-    K-ball bound otherwise (per-start windows are the operative mode for
-    merely strongly continuous semigroups)."""
-    if start is not None:
-        return sg.sg_distance(t, start, alpha)
-    if isinstance(sg, DiagonalSemigroup):
-        return K * float(np.max(np.abs(np.exp(sg.mu * t) - 1.0)))
-    E = scipy.linalg.expm(sg.A * t)
-    return K * float(np.linalg.norm(E - np.eye(sg.n_modes), 2))
+# window selection
 
 
 def select_step(sys: EvolutionSystem, K: float, u_sup: float,
-                cfg: Optional[SolverConfig] = None,
-                start_state: Optional[np.ndarray] = None,
+                cfg: Optional[SolverConfig] = None, *,
+                start_state: np.ndarray,
                 cap: Optional[float] = None) -> float:
     """Largest dyadic-bisected window length t1 <= cap (cap <= 1) with
 
@@ -403,13 +398,12 @@ def select_step(sys: EvolutionSystem, K: float, u_sup: float,
         window's start state,
 
     where delta = max(1, K) and K' = K + delta bounds every norm seen in
-    the window.  Certificates are evaluated in the X_alpha norm in
-    analytic mode.  start_state (raw X coefficients) sharpens the
-    strong-continuity term when provided.
+    the window.  Certificates are evaluated in the system's working norm;
+    start_state (raw X coefficients) enters through the exact
+    strong-continuity term |(T(t) - I) x|.
     """
     cfg = cfg or SolverConfig()
     sg = sys.semigroup
-    alpha = sys.analytic_alpha or 0.0
     theta = cfg.contraction_target
     delta = max(1.0, K)
     K_prime = K + delta
@@ -418,24 +412,18 @@ def select_step(sys: EvolutionSystem, K: float, u_sup: float,
     c_off = sys.f.growth_c
     cap = min(cfg.window_cap, cap if cap is not None else cfg.window_cap)
 
-    t = cap
-    for _ in range(cfg.max_window_bisections + 1):
-        if alpha > 0.0:
-            gain = _analytic_gain(sg, alpha, t)
-            h_t = _analytic_input_constant(sg, sys.B, alpha, t)
-        else:
-            gain = c_constant(sg, sys.B2, t)
-            h_t = _input_constant(sg, sys.B, t)
+    for k in range(cfg.max_window_bisections + 1):
+        t = cap * 0.5 ** k
+        gain = sys.gain(t)
         contraction_ok = gain * L <= theta
-        sg_dist = _ball_sg_distance(sg, t, K, alpha, start_state)
         invariance_ok = (
-            sg_dist + h_t * u_sup + gain * (L * K_prime + sigma_u + c_off) <= delta
+            sg.sg_distance(t, start_state, sys.alpha) + sys.input_gain(t) * u_sup
+            + gain * (L * K_prime + sigma_u + c_off) <= delta
         )
         if contraction_ok and invariance_ok:
             return t
-        t *= 0.5
     raise StepSelectionError(
-        f"no certified window above {t:.3g} (K={K:.3g}, u_sup={u_sup:.3g})"
+        f"no certified window down to {t:.3g} (K={K:.3g}, u_sup={u_sup:.3g})"
     )
 
 
@@ -475,7 +463,7 @@ class _WindowFailure(Exception):
 
 
 def _picard_window_raw(sys: EvolutionSystem, x0: np.ndarray, u, t1: float,
-                       cfg: SolverConfig, weights: Optional[np.ndarray]):
+                       cfg: SolverConfig):
     """Iterate the window fixed-point map on the sub-grid.
 
     Returns (tau, Y, iters, contraction) with Y in working coordinates
@@ -510,12 +498,9 @@ def _picard_window_raw(sys: EvolutionSystem, x0: np.ndarray, u, t1: float,
         for j in range(1, S + 1):
             lin[j] += _input_convolution(sg, sys.B, u, float(tau[j]))
 
-    if weights is not None:
-        lin_w = lin * weights[None, :]
-        y = free * weights[None, :]
-    else:
-        lin_w = lin
-        y = free.copy()
+    w = sys.weights[None, :]
+    lin_w = lin * w
+    y = free * w
 
     u0 = u.value(0.0)
     u_vals = np.empty((S + 1, u0.shape[0]))
@@ -529,11 +514,7 @@ def _picard_window_raw(sys: EvolutionSystem, x0: np.ndarray, u, t1: float,
     contraction = 0.0
     prev_delta = None
     for k in range(cfg.max_picard_iters):
-        x_nat = y / weights[None, :] if weights is not None else y
-        g = sys.f.batch(x_nat, u_vals)
-        g = sys.b2_apply(g)
-        if weights is not None:
-            g = g * weights[None, :]
+        g = sys.b2_apply(sys.f.batch(y / w, u_vals)) * w
         conv = np.zeros_like(y)
         if dense:
             for j in range(S):
@@ -554,6 +535,20 @@ def _picard_window_raw(sys: EvolutionSystem, x0: np.ndarray, u, t1: float,
     raise _WindowFailure(f"no convergence in {cfg.max_picard_iters} Picard iterations")
 
 
+def _window_diagnostics(sys: EvolutionSystem, t_start: float, t1: float,
+                        K: float, u_sup: float, iters: int,
+                        contraction: float, bisections: int) -> WindowDiagnostics:
+    """The constants select_step certified the window with, plus what the
+    Picard iteration observed on it."""
+    delta = max(1.0, K)
+    return WindowDiagnostics(
+        t_start=t_start, t1=t1, K=K, delta=delta,
+        lipschitz=sys.f.lipschitz(max(K + delta, u_sup)), c_t=sys.gain(t1),
+        picard_iters=iters, contraction_observed=contraction,
+        bisections=bisections,
+    )
+
+
 def picard_window(sys: EvolutionSystem, x0: SpectralState,
                   u: Optional[DrivingSignal], t1: float,
                   cfg: Optional[SolverConfig] = None):
@@ -568,21 +563,13 @@ def picard_window(sys: EvolutionSystem, x0: SpectralState,
         raise ValueError("window length must be positive")
     if u is None:
         u = InputSignal.zero(sys.input_channels, t1)
-    alpha = sys.analytic_alpha or 0.0
-    weights = sys.semigroup.frac_weights(alpha) if alpha > 0.0 else None
     try:
-        tau, y, iters, contraction = _picard_window_raw(sys, x0.coeffs, u, t1, cfg, weights)
+        tau, y, iters, contraction = _picard_window_raw(sys, x0.coeffs, u, t1, cfg)
     except _WindowFailure as e:
         raise RuntimeError(str(e)) from e
-    coeffs = y / weights[None, :] if weights is not None else y
-    K = float(np.linalg.norm(y[0]))
-    gain = (_analytic_gain(sys.semigroup, alpha, t1) if alpha > 0.0
-            else c_constant(sys.semigroup, sys.B2, t1))
-    diag = WindowDiagnostics(
-        t_start=0.0, t1=t1, K=K, delta=max(1.0, K),
-        lipschitz=sys.f.lipschitz(K + max(1.0, K)), c_t=gain,
-        picard_iters=iters, contraction_observed=contraction, bisections=0,
-    )
+    coeffs = y / sys.weights[None, :]
+    diag = _window_diagnostics(sys, 0.0, t1, sys.working_norm(x0.coeffs),
+                               u.sup_norm(0.0, t1), iters, contraction, 0)
     return tau, [SpectralState(c) for c in coeffs], diag
 
 
@@ -599,13 +586,11 @@ def _solve_loop(sys: EvolutionSystem, x0: SpectralState,
         u = InputSignal.zero(sys.input_channels, t_end)
     if u.horizon < t_end - 1e-12:
         raise ValueError(f"input defined to {u.horizon}, solve needs {t_end}")
-    alpha = sys.analytic_alpha or 0.0
-    sg = sys.semigroup
-    weights = sg.frac_weights(alpha) if alpha > 0.0 else None
-    if weights is not None:
-        wx = weights * x0.coeffs
+    w = sys.weights[None, :]
+    if sys.alpha > 0.0:
+        wx = sys.weights * x0.coeffs
         if float(np.linalg.norm(wx)) > 1e-8 and \
-                ladder_divergence_ratio(sg, wx, 0.0) > 0.5:
+                ladder_divergence_ratio(sys.semigroup, wx, 0.0) > 0.5:
             raise ValueError(
                 "initial state not in X_alpha: weighted mass keeps growing "
                 "along the truncation ladder"
@@ -621,11 +606,6 @@ def _solve_loop(sys: EvolutionSystem, x0: SpectralState,
         marks.update(float(c) for c in checkpoint_times if 0.0 < c < t_end - 1e-13)
     marks = sorted(marks)
 
-    def working_norm(c: np.ndarray) -> float:
-        if weights is not None:
-            return float(np.linalg.norm(weights * c))
-        return float(np.linalg.norm(c))
-
     t = 0.0
     x = np.array(x0.coeffs, float)
     all_times: List[np.ndarray] = [np.array([0.0])]
@@ -635,11 +615,11 @@ def _solve_loop(sys: EvolutionSystem, x0: SpectralState,
     status = Status.completed()
     n_samples = 1
 
-    if working_norm(x) >= cfg.blowup_threshold:
+    if sys.working_norm(x) >= cfg.blowup_threshold:
         status = Status.blowup(0.0)
 
     while status.kind == "completed" and t < t_end - 1e-13:
-        K = working_norm(x)
+        K = sys.working_norm(x)
         next_mark = next(m for m in marks if m > t + 1e-13)
         cap = min(cfg.window_cap, next_mark - t)
         u_loc = u.shift(t) if t > 0 else u
@@ -654,7 +634,7 @@ def _solve_loop(sys: EvolutionSystem, x0: SpectralState,
         result = None
         while result is None:
             try:
-                result = _picard_window_raw(sys, x, u_loc, t1, cfg, weights)
+                result = _picard_window_raw(sys, x, u_loc, t1, cfg)
             except _WindowFailure as e:
                 t1 *= 0.5
                 bis += 1
@@ -667,16 +647,10 @@ def _solve_loop(sys: EvolutionSystem, x0: SpectralState,
             break
         tau, y, iters, contraction = result
 
-        gain = (_analytic_gain(sg, alpha, t1) if alpha > 0.0
-                else c_constant(sg, sys.B2, t1))
-        diags.append(WindowDiagnostics(
-            t_start=t, t1=t1, K=K, delta=max(1.0, K),
-            lipschitz=sys.f.lipschitz(max(K + max(1.0, K), u_sup)),
-            c_t=gain, picard_iters=iters, contraction_observed=contraction,
-            bisections=bis,
-        ))
+        diags.append(_window_diagnostics(sys, t, t1, K, u_sup, iters,
+                                         contraction, bis))
 
-        coeffs = y / weights[None, :] if weights is not None else y
+        coeffs = y / w
         norms_w = np.linalg.norm(y, axis=1)
         crossing = np.nonzero(norms_w >= cfg.blowup_threshold)[0]
         end_j = coeffs.shape[0] - 1
@@ -699,15 +673,12 @@ def _solve_loop(sys: EvolutionSystem, x0: SpectralState,
 
     times = np.concatenate(all_times)
     coeffs = np.concatenate(all_coeffs, axis=0)
-    alpha_norms = None
-    if weights is not None:
-        alpha_norms = np.linalg.norm(coeffs * weights[None, :], axis=1)
     return Trajectory(
         times=times, coeffs=coeffs, status=status,
         window_boundaries=np.array(boundaries[:-1], dtype=int),
         diagnostics=diags,
-        alpha=alpha if alpha > 0.0 else None,
-        alpha_norms=alpha_norms,
+        alpha=sys.alpha or None,
+        alpha_norms=np.linalg.norm(coeffs * w, axis=1) if sys.alpha > 0.0 else None,
     )
 
 
@@ -759,7 +730,7 @@ def global_bound(sys: EvolutionSystem, x0_norm: float, u_norm: float,
     """
     cfg = cfg or SolverConfig()
     sg = sys.semigroup
-    alpha = sys.analytic_alpha or 0.0
+    alpha = sys.alpha
     L = sys.f.uniform_lipschitz
     if L is None:
         raise ValueError("global bound needs a uniform Lipschitz certificate")
@@ -768,15 +739,15 @@ def global_bound(sys: EvolutionSystem, x0_norm: float, u_norm: float,
     if alpha == 0.0:
         t1 = min(cfg.window_cap, t)
         for _ in range(cfg.max_window_bisections + 1):
-            if c_constant(sg, sys.B2, t1) * L <= 0.5:
+            if sys.gain(t1) * L <= 0.5:
                 break
             t1 *= 0.5
         else:
             raise StepSelectionError("no window with c_t * L <= 1/2")
         n_windows = max(1, math.ceil(t / t1 - 1e-12))
         growth = sg.M * math.exp(sg.lam * t1)
-        h_t1 = _input_constant(sg, sys.B, t1)
-        c_t1 = c_constant(sg, sys.B2, t1)
+        h_t1 = sys.input_gain(t1)
+        c_t1 = sys.gain(t1)
         b = x0_norm
         for _ in range(n_windows):
             b = 2.0 * (growth * b + h_t1 * u_norm + c_t1 * sigma_u)
@@ -784,13 +755,12 @@ def global_bound(sys: EvolutionSystem, x0_norm: float, u_norm: float,
 
     kappa = sg.omega0 + 1.0
     C = sg.smoothing_constant(alpha, kappa=kappa)
-    kp = max(kappa, 0.0)
     a_const = (
         sg.M * math.exp(max(sg.lam, 0.0) * t) * x0_norm
-        + _analytic_input_constant(sg, sys.B, alpha, t) * u_norm
-        + C * math.exp(kp * t) * t ** (1.0 - alpha) / (1.0 - alpha) * sigma_u
+        + sys.input_gain(t) * u_norm
+        + sys.gain(t) * sigma_u
     )
-    b_kernel = L * C * math.exp(kp * t)
+    b_kernel = L * C * math.exp(max(kappa, 0.0) * t)
     z = b_kernel * scipy.special.gamma(1.0 - alpha) * t ** (1.0 - alpha)
     return a_const * _mittag_leffler(1.0 - alpha, z)
 

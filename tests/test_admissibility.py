@@ -215,3 +215,15 @@ def test_measured_lower_never_beats_certified_upper(t, seed):
     B = InputOperator(rng.normal(size=(6, 1)), Bounded())
     lower, upper = measure_h(sys, B, t, k_cells=4)
     assert lower <= upper * (1 + 1e-12)
+
+
+def test_measure_h_reports_upper_as_computed():
+    # mu = 1 grows like e^t; the constructor refuses lam = 0, so forge it to
+    # see that measure_h reports the broken bracket instead of hiding it
+    sys = DiagonalSemigroup(mu=np.array([1.0]), omega=2.0)
+    object.__setattr__(sys, "lam", 0.0)
+    B = InputOperator(np.array([1.0]), Bounded())
+    lower, upper = measure_h(sys, B, 1.0, k_cells=4)
+    assert lower == pytest.approx(np.e - 1.0, rel=1e-12)
+    assert upper == 1.0
+

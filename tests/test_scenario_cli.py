@@ -129,6 +129,27 @@ def test_expect_mismatch_exits_2(tmp_path, capsys):
     assert (out / "trajectory.csv").exists()
 
 
+def test_failed_certification_exits_3_unless_expected(tmp_path, capsys):
+    sc = {
+        "task": "solve",
+        "system": {"semigroup": {"mu": [0.0], "omega": 1.0},
+                   "nonlinearity": {"name": "scalar_square"}},
+        "x0": {"coeffs": [50.0]},
+        "t_end": 1.0,
+        "solver": {"max_window_bisections": 2},
+    }
+    out = tmp_path / "a"
+    rc = main([write_scenario(tmp_path, sc), "--out", str(out), "--quiet"])
+    assert rc == 3
+    assert "certification failed: no certified window" in capsys.readouterr().err
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["status"]["kind"] == "failed"
+    sc["expect"] = {"status": "failed"}
+    rc = main([write_scenario(tmp_path, sc, "expected.json"),
+               "--out", str(tmp_path / "b"), "--quiet"])
+    assert rc == 0
+
+
 def test_blowup_scenario(tmp_path):
     out = tmp_path / "out"
     rc = main([repo_scenario("blowup_square.json"), "--out", str(out), "--quiet"])

@@ -177,3 +177,11 @@ def test_dense_sg_distance_refuses_fractional():
     g = DenseGenerator(np.array([[-1.0]]))
     with pytest.raises(ValueError):
         g.sg_distance(0.1, np.array([1.0]), alpha=0.5)
+
+
+def test_diagonal_refuses_lam_below_growth_bound():
+    with pytest.raises(ValueError, match="growth bound"):
+        DiagonalSemigroup(mu=np.array([1.0]), omega=2.0, lam=0.0)
+    sg = DiagonalSemigroup(mu=np.array([-1.0, -2.0]), omega=1.0, lam=-1.0)
+    assert sg.lam == -1.0  # exact for a decaying spectrum
+

@@ -15,6 +15,7 @@ from semiflow import (
     InputOperator,
     InputSignal,
     PolySignal,
+    QAdmissible,
     SmoothClass,
     SolverConfig,
     SpectralState,
@@ -25,10 +26,12 @@ from semiflow import (
     solve_analytic,
     trajectory_diagnostics_json,
     trajectory_to_csv,
+    upper_bound_h,
     zero_nonlinearity,
 )
 from semiflow.nonlinearities import arctan_saturation, scalar_square
 from semiflow.solver import (
+    StepSelectionError,
     _mittag_leffler,
     convolve_poly,
     picard_window,
@@ -164,8 +167,101 @@ def test_select_step_scalar_square_dyadic_value():
     # at the dyadic value 1/16
     sg = DiagonalSemigroup(mu=np.array([0.0]), omega=1.0)
     sys = EvolutionSystem(sg, scalar_square(1))
-    t1 = select_step(sys, K=2.0, u_sup=0.0)
+    t1 = select_step(sys, K=2.0, u_sup=0.0, start_state=np.array([2.0]))
     assert t1 == pytest.approx(1.0 / 16.0, rel=1e-12)
+
+
+def test_select_step_error_names_last_length_tried():
+    # candidates 1, 1/2, 1/4 all fail at K = 50; the last one checked is 1/4
+    sg = DiagonalSemigroup(mu=np.array([0.0]), omega=1.0)
+    sys = EvolutionSystem(sg, scalar_square(1))
+    cfg = SolverConfig(max_window_bisections=2)
+    with pytest.raises(StepSelectionError) as err:
+        select_step(sys, K=50.0, u_sup=0.0, cfg=cfg, start_state=np.array([50.0]))
+    assert "down to 0.25 " in str(err.value)
+    assert "0.125" not in str(err.value)
+
+
+def _phi1_bound(lam, t):
+    return t if lam == 0.0 else np.expm1(lam * t) / lam
+
+
+def test_working_space_members_x_mode():
+    sg = DiagonalSemigroup(mu=np.array([0.5, -1.0, -4.0]), omega=1.0)
+    nl = zero_nonlinearity(3)
+    B = InputOperator(np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]), Bounded())
+    sys = EvolutionSystem(sg, nl, B=B)
+    assert sys.alpha == 0.0 and EvolutionSystem(sg, nl, analytic_alpha=0.0).alpha == 0.0
+    assert np.array_equal(sys.weights, np.ones(3))
+    c = np.array([3.0, -4.0, 12.0])
+    assert sys.working_norm(c) == 13.0
+    for t in (0.125, 0.5, 1.0):
+        # M = 1, lam = 0.5: c_t = (e^{lam t} - 1)/lam and h_t = |B| c_t
+        assert sys.gain(t) == pytest.approx(_phi1_bound(0.5, t), rel=1e-14)
+        assert sys.input_gain(t) == pytest.approx(2.0 * _phi1_bound(0.5, t), rel=1e-14)
+    assert sys.input_gain(0.0) == 0.0
+    assert EvolutionSystem(sg, nl).input_gain(0.5) == 0.0
+    # a bare q-admissibility declaration gets the truncation-level bound on
+    # B and no zero-class certificate on B2
+    Bq = InputOperator(np.array([[0.0], [3.0], [4.0]]), QAdmissible(2.0))
+    sys_q = EvolutionSystem(sg, nl, B=Bq, B2=Bq)
+    assert sys_q.input_gain(0.5) == pytest.approx(5.0 * _phi1_bound(0.5, 0.5), rel=1e-14)
+    with pytest.raises(ValueError, match="q_admissible"):
+        sys_q.gain(0.5)
+
+
+def test_input_gain_smooth_class_x_mode():
+    sg = heat_dirichlet_semigroup(16)
+    n = np.arange(1, 17, dtype=float)
+    B = InputOperator(n * np.sqrt(2 / np.pi), SmoothClass(0.2))
+    sys = EvolutionSystem(sg, zero_nonlinearity(16), B=B)
+    # M = 1, lam = 0: the smaller of |B| t and the t^alpha smoothing bound;
+    # the first is smaller at t = 0.01, the second at t = 1
+    assert sys.input_gain(0.01) == pytest.approx(0.01 * B.norm(), rel=1e-14)
+    assert sys.input_gain(1.0) == upper_bound_h(sg, B, 0.0, 1.0) < B.norm()
+    # without analyticity only the bounded-operator bound is certified
+    plain = DiagonalSemigroup(mu=-(n ** 2), omega=1.0)
+    assert EvolutionSystem(plain, zero_nonlinearity(16), B=B).input_gain(0.5) \
+        == pytest.approx(0.5 * B.norm(), rel=1e-14)
+
+
+def test_working_space_members_analytic_mode():
+    sg = heat_dirichlet_semigroup(8)
+    n = np.arange(1, 9, dtype=float)
+    nl = zero_nonlinearity(8)
+    w = (1.0 + n ** 2) ** 0.5
+    Bb = InputOperator(np.eye(8)[:, :1], Bounded())
+    sys = EvolutionSystem(sg, nl, B=Bb, analytic_alpha=0.5)
+    assert sys.alpha == 0.5
+    assert np.allclose(sys.weights, w, rtol=1e-15)
+    c = np.linspace(-1.0, 1.0, 8)
+    assert sys.working_norm(c) == pytest.approx(np.linalg.norm(w * c), rel=1e-15)
+    # kappa = omega0 + 1 = 0: c_t = C_{1/2} t^{1/2} / (1/2)
+    C = sg.smoothing_constant(0.5, kappa=0.0)
+    for t in (0.01, 0.25):
+        assert sys.gain(t) == pytest.approx(2.0 * C * np.sqrt(t), rel=1e-14)
+        assert sys.input_gain(t) == pytest.approx(sys.gain(t), rel=1e-14)
+    smooth = InputOperator(n ** -1.0, SmoothClass(0.8))
+    sys_s = EvolutionSystem(sg, nl, B=smooth, analytic_alpha=0.5)
+    assert sys_s.input_gain(0.25) == upper_bound_h(sg, smooth, 0.5, 0.25)
+    # a smoothness deficit falls back to |(omega - A)^alpha B| M t at lam = 0
+    rough = InputOperator(n * np.sqrt(2 / np.pi), SmoothClass(0.2))
+    sys_r = EvolutionSystem(sg, nl, B=rough, analytic_alpha=0.5)
+    assert sys_r.input_gain(0.25) == pytest.approx(
+        0.25 * np.linalg.norm(w * rough.coeffs[:, 0]), rel=1e-14)
+
+
+def test_working_space_members_dense():
+    A = np.array([[0.2, 1.0], [0.0, -1.0]])
+    gen = DenseGenerator(A)
+    lam = float(np.max(np.linalg.eigvalsh(0.5 * (A + A.T))))
+    B = InputOperator(np.array([[3.0], [4.0]]), Bounded())
+    sys = EvolutionSystem(gen, zero_nonlinearity(2), B=B)
+    assert sys.alpha == 0.0 and np.array_equal(sys.weights, np.ones(2))
+    assert sys.working_norm(np.array([3.0, 4.0])) == 5.0
+    t = 0.3
+    assert sys.gain(t) == pytest.approx(_phi1_bound(lam, t), rel=1e-14)
+    assert sys.input_gain(t) == pytest.approx(5.0 * _phi1_bound(lam, t), rel=1e-14)
 
 
 def test_poly_signal_algebra():
