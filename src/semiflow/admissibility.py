@@ -133,13 +133,23 @@ def ladder_divergence_ratio(sys: DiagonalSemigroup, coeffs: np.ndarray,
     c = np.asarray(coeffs, float)
     if c.ndim == 1:
         c = c[:, None]
-    w = sys.frac_weights(beta)
-    mass = np.sum((w[:, None] * c) ** 2, axis=1)
+    return _upper_half_share(sys.frac_weights(beta)[:, None] * c)
+
+
+def _upper_half_share(wc: np.ndarray) -> float:
+    """Fraction of the Frobenius mass of the rows wc in the upper half."""
+    mass = np.sum(wc ** 2, axis=1)
     total = float(np.sum(mass))
     if total == 0.0:
         return 0.0
-    half = float(np.sum(mass[: max(1, c.shape[0] // 2)]))
+    half = float(np.sum(mass[: max(1, wc.shape[0] // 2)]))
     return (total - half) / total
+
+
+def outside_x_alpha(wx: np.ndarray) -> bool:
+    """The X_alpha membership screen on the weighted coefficients wx of a
+    state: |wx| > 1e-8 and over half the mass in the upper half of the modes."""
+    return float(np.linalg.norm(wx)) > 1e-8 and _upper_half_share(wx[:, None]) > 0.5
 
 
 def _cell_kernel(mu: np.ndarray, t: float, a: float, b: float) -> np.ndarray:

@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .admissibility import outside_x_alpha
 from .core import InputSignal, Nonlinearity, SpectralState, signal_sup_distance
 from .solver import (
     EvolutionSystem,
@@ -106,8 +107,8 @@ def draw_states(rng: np.random.Generator, n_modes: int, radius: float,
 
     With weights the draws carry an extra 1/(1+k) envelope on the weighted
     coordinates and the high corner moves below the top octave: samples
-    must decay along the truncation ladder, not just have finite norm,
-    or the weighted solver's membership screen rejects them.
+    must decay along the truncation ladder, not just have finite norm; a
+    draw that the solver's X_alpha screen (outside_x_alpha) refuses is redrawn.
     """
     out: List[np.ndarray] = []
     w = np.ones(n_modes) if weights is None else weights
@@ -121,10 +122,9 @@ def draw_states(rng: np.random.Generator, n_modes: int, radius: float,
     while len(out) < count:
         x = rng.normal(size=n_modes) * env / w
         nrm = float(np.linalg.norm(w * x))
-        if nrm > 0:
-            out.append(x * (radius * rng.uniform(0.3, 1.0) / nrm))
-        else:
-            out.append(np.zeros(n_modes))
+        x = x * (radius * rng.uniform(0.3, 1.0) / nrm) if nrm > 0 else np.zeros(n_modes)
+        if weights is None or not outside_x_alpha(w * x):
+            out.append(x)
     return out[:count]
 
 

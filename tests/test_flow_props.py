@@ -24,7 +24,9 @@ from semiflow import (
     heat_dirichlet_semigroup,
     reports_to_json,
     saturated_system,
+    solve,
 )
+from semiflow.admissibility import outside_x_alpha
 from semiflow.flow_props import draw_signals, draw_states
 from semiflow.nonlinearities import arctan_saturation, scalar_square
 
@@ -45,6 +47,21 @@ def test_draw_states_respects_radius():
     # axis corners come first
     assert states[0][0] == 0.7 and np.all(states[0][1:] == 0.0)
     assert states[1][7] == 0.7 and np.all(states[1][:7] == 0.0)
+
+
+def test_draw_states_pass_the_solver_x_alpha_screen():
+    # at 8 modes (heat, alpha = 1/2, seed 0) 75 of 2000 weighted draws used
+    # to fail the screen that solve applies to initial states
+    sg = heat_dirichlet_semigroup(8)
+    sys = EvolutionSystem(sg, arctan_saturation(8, gain=0.5), analytic_alpha=0.5)
+    states = draw_states(np.random.default_rng(0), 8, 1.0, 2000, sys.weights)
+    assert len(states) == 2000
+    for x in states:
+        assert sys.working_norm(x) <= 1.0 + 1e-12
+    assert not any(outside_x_alpha(sys.weights * x) for x in states)
+    # so every draw starts a solve
+    for x in states[::200]:
+        solve(sys, SpectralState(x), None, 0.01)
 
 
 def test_draw_signals_respects_radius():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from semiflow import (
     SmoothClass,
     SolverConfig,
     SpectralState,
+    convolve,
     global_bound,
     heat_dirichlet_semigroup,
     select_step,
@@ -64,17 +66,21 @@ def test_linear_diagonal_matches_closed_form():
     sys = EvolutionSystem(sg, zero_nonlinearity(4), B=B)
     u = InputSignal(np.array([0.0, 0.3, 0.8, 1.2]),
                     np.array([[1.0], [-0.5], [2.0]]))
+    # a cell shorter than the 1e-13 the window marks resolve
+    sliver = InputSignal(np.array([0.0, 0.3, 0.3 + 1e-14, 0.8, 1.2]),
+                         np.array([[1.0], [5.0], [-0.5], [2.0]]))
     x0 = np.array([1.0, 0.0, -1.0, 0.25])
-    traj = solve(sys, SpectralState(x0), u, 1.2,
-                 checkpoint_times=[0.45, 0.9])
-    assert traj.status.kind == "completed"
-    for t in (0.3, 0.45, 0.8, 0.9, 1.2):
-        got = traj.state_at(t).coeffs
-        want = np.array([
-            variation_of_constants(mu[n], x0[n], b[n], u, t) for n in range(4)
-        ])
-        err = np.linalg.norm(got - want) / max(np.linalg.norm(want), 1.0)
-        assert err <= 1e-10
+    for u in (u, sliver):
+        traj = solve(sys, SpectralState(x0), u, 1.2,
+                     checkpoint_times=[0.45, 0.9])
+        assert traj.status.kind == "completed"
+        for t in (0.3, 0.45, 0.8, 0.9, 1.2):
+            got = traj.state_at(t).coeffs
+            want = np.array([
+                variation_of_constants(mu[n], x0[n], b[n], u, t) for n in range(4)
+            ])
+            err = np.linalg.norm(got - want) / max(np.linalg.norm(want), 1.0)
+            assert err <= 1e-10
 
 
 def test_constant_input_single_mode_oracle():
@@ -273,6 +279,13 @@ def test_poly_signal_algebra():
     s = p.shift(0.5)
     for t in (0.0, 0.3, 1.1):
         assert s.value(t)[0] == pytest.approx(p.value(t + 0.5)[0], rel=1e-13)
+    # an array of times gives one row per time, equal to the scalar values
+    q = PolySignal(np.array([[1.0, -2.0], [0.3, 0.0], [0.0, 1.5], [-0.25, 0.1]]))
+    ts = np.array([0.0, 0.37, 1.9, 4.0])
+    rows = q.value(ts)
+    assert rows.shape == (4, 2)
+    for t, row in zip(ts, rows):
+        assert np.array_equal(row, q.value(float(t)))
     assert p.sup_norm(0.0, 2.0) >= max(abs(p.value(t)[0])
                                        for t in np.linspace(0, 2, 50))
     with pytest.raises(ValueError):
@@ -280,15 +293,20 @@ def test_poly_signal_algebra():
 
 
 def test_poly_exp_integral_against_quadrature():
+    ts = np.array([[0.1], [0.7]])
     for mu in (-30.0, -0.3, 0.0, 0.2):
         for k in range(5):
-            for t in (0.1, 0.7):
-                got = poly_exp_integral(np.array([mu]), t, k)[0]
+            # scalar calls, and one call with the times as a (2, 1) array
+            rows = poly_exp_integral(np.array([mu]), ts, k)
+            assert rows.shape == (2, 1)
+            for t, row in zip(ts[:, 0], rows):
+                got = poly_exp_integral(np.array([mu]), float(t), k)[0]
                 want, err = scipy.integrate.quad(
                     lambda s: np.exp(mu * (t - s)) * s ** k, 0.0, t,
                     epsabs=1e-14, epsrel=1e-13,
                 )
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-14)
+                assert row[0] == pytest.approx(want, rel=1e-10, abs=1e-14)
 
 
 def test_convolve_poly_single_mode_closed_form():
@@ -348,6 +366,31 @@ def test_global_bound_needs_uniform_lipschitz():
         global_bound(sys, 1.0, 0.0, 1.0)
 
 
+@settings(max_examples=60)
+@given(beta=st.floats(0.3, 0.95), s=st.floats(30.0, 1000.0))
+def test_mittag_leffler_is_inf_or_asymptotic(beta, s):
+    # for z = s^beta with s >= 30, E_beta(z) = (1/beta) e^s to far below 1e-9
+    got = _mittag_leffler(beta, s ** beta)
+    assert got == math.inf or \
+        abs(math.log(got) - (s - math.log(beta))) <= 1e-9
+
+
+@pytest.mark.parametrize("z", [20.0, 24.0, 30.0])
+def test_mittag_leffler_never_truncates_low(z):
+    # the capped series used to return a partial sum far below log 2 + z^2
+    got = _mittag_leffler(0.5, z)
+    assert got == math.inf or \
+        abs(math.log(got) - (math.log(2.0) + z * z)) <= 1e-9
+
+
+def test_global_bound_analytic_mode_past_the_series_cap():
+    sg = heat_dirichlet_semigroup(8)
+    sys = EvolutionSystem(sg, arctan_saturation(8, gain=0.5), analytic_alpha=0.5)
+    assert global_bound(sys, 1.0, 0.0, 1e4) == math.inf
+    # a zero prefactor bounds the zero trajectory by 0, not by 0 * inf
+    assert global_bound(sys, 0.0, 0.0, 1e4) == 0.0
+
+
 def test_mittag_leffler_closed_forms():
     # E_1(z) = e^z and E_{1/2}(z) = e^{z^2} (1 + erf z)
     for z in (0.3, 1.0, 2.0):
@@ -391,6 +434,34 @@ def test_window_bookkeeping():
         assert d.t_start == pytest.approx(s, abs=1e-12)
         assert d.contraction_observed <= 0.6  # certified target plus margin
         assert d.delta == max(1.0, d.K)
+
+
+def test_picard_window_refuses_breakpoint_inside_window():
+    sg = heat_dirichlet_semigroup(4)
+    sys = EvolutionSystem(sg, zero_nonlinearity(4),
+                          B=InputOperator(np.eye(4)[:, :1], Bounded()))
+    u = InputSignal(np.array([0.0, 0.05, 0.2]), np.array([[1.0], [-1.0]]))
+    with pytest.raises(ValueError, match="breakpoint"):
+        picard_window(sys, SpectralState.zero(4), u, 0.125)
+    # a window that ends on the breakpoint is fine
+    tau, states, _ = picard_window(sys, SpectralState.zero(4), u, 0.05)
+    assert tau[-1] == 0.05
+
+
+def test_constant_input_solve_is_the_closed_form_bit_for_bit():
+    # zero f, bounded B, constant u: every sample of the one window is
+    # exactly e^{mu tau} x0 + convolve(sg, B, u, tau), with no roundoff of
+    # its own, so reruns and refactors of the window kernel keep bytes
+    sg = heat_dirichlet_semigroup(6)
+    B = InputOperator(np.linspace(0.5, -0.5, 12).reshape(6, 2), Bounded())
+    sys = EvolutionSystem(sg, zero_nonlinearity(6), B=B)
+    x0 = SpectralState(np.array([0.3, -0.2, 0.1, 0.05, -0.02, 0.01]))
+    u = InputSignal.constant([0.4, -0.3], 0.5)
+    traj = solve(sys, x0, u, 0.5, SolverConfig(substeps_per_window=16))
+    assert traj.status.kind == "completed" and len(traj.diagnostics) == 1
+    for t, c in zip(traj.times, traj.coeffs):
+        want = np.exp(sg.mu * t) * x0.coeffs + convolve(sg, B, u, float(t))
+        assert np.array_equal(c, want)
 
 
 def test_picard_window_returns_X_coordinates():
