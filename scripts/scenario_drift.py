@@ -5,8 +5,10 @@
 Every scenarios/*.json runs in-process into OUT/<name>/, and each output
 file is listed with its sha256.  Given BASE, the OUT of an earlier run,
 each file is then reported as "identical" or with the largest absolute
-and relative difference over its numbers (JSON numbers, CSV cells, and
-whitespace-separated fields of text files).  The exit code is 1 when a
+and relative difference over its floats (JSON floats, CSV cells, and
+whitespace-separated fields of text files); JSON integers are counts, so
+the ones that differ are counted apart ("N integer fields differ") rather
+than read as a relative drift.  The exit code is 1 when a
 scenario run fails, when the two file sets differ, or when a non-numeric
 field differs; otherwise 0.
 """
@@ -56,13 +58,14 @@ def _json_fields(obj):
         for v in obj:
             yield from _json_fields(v)
     elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        yield float(obj)
+        yield obj
     else:
         yield repr(obj)
 
 
 def fields(path: Path) -> list:
-    """The file's fields in order, numbers as floats and the rest as strings."""
+    """The file's fields in order: JSON integers as ints, other numbers as
+    floats and the rest as strings."""
     text = path.read_text()
     if path.suffix == ".json":
         return list(_json_fields(json.loads(text)))
@@ -71,21 +74,25 @@ def fields(path: Path) -> list:
 
 
 def drift(a: Path, b: Path):
-    """(max absolute, max relative) difference over the numbers of two files,
-    or None when a non-numeric field or the field count differs."""
+    """(max absolute, max relative difference over the floats, number of
+    differing integers) of two files, or None when a non-numeric field or
+    the field count differs."""
     fa, fb = fields(a), fields(b)
     if len(fa) != len(fb):
         return None
     d_abs = d_rel = 0.0
+    n_int = 0
     for x, y in zip(fa, fb):
         if isinstance(x, str) or isinstance(y, str):
             if x != y:
                 return None
+        elif isinstance(x, int) and isinstance(y, int):
+            n_int += x != y
         elif x != y and not (math.isnan(x) and math.isnan(y)):
             d = abs(x - y)
             d_abs = max(d_abs, d)
             d_rel = max(d_rel, d / max(abs(x), abs(y)))
-    return d_abs, d_rel
+    return d_abs, d_rel, n_int
 
 
 def compare(out: Path, base: Path):
@@ -105,7 +112,10 @@ def compare(out: Path, base: Path):
                 lines.append(f"{name}: non-numeric field differs")
                 ok = False
             else:
-                lines.append(f"{name}: max abs {d[0]:.3e}, max rel {d[1]:.3e}")
+                line = f"{name}: max abs {d[0]:.3e}, max rel {d[1]:.3e}"
+                if d[2]:
+                    line += f", {d[2]} integer fields differ"
+                lines.append(line)
     return lines, ok
 
 

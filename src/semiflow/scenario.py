@@ -50,6 +50,7 @@ from .solver import (
     PolySignal,
     SolverConfig,
     Trajectory,
+    _write_rows,
     solve,
     trajectory_diagnostics_json,
     trajectory_to_csv,
@@ -600,8 +601,7 @@ def _run_burgers(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
         z, v = bsys.physical_snapshot(traj.state_at(t_s))
         with open(os.path.join(out_dir, f"snapshot_{k}.csv"), "w") as fh:
             fh.write(f"# t = {t_s!r}\nz,value\n")
-            for zi, vi in zip(z, v):
-                fh.write(f"{zi!r},{vi!r}\n")
+            _write_rows(fh, [z, v])
     summary = (f"burgers: status={traj.status.kind} t_final={traj.times[-1]:.6g} "
                f"samples={traj.n_samples}")
     return _finish_traj(out_dir, sc.get("expect"), traj, quiet, summary)
@@ -695,8 +695,7 @@ def _run_admissibility(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> 
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "estimate.csv"), "w") as fh:
         fh.write("t,h_lower,h_upper\n")
-        for t, lo, up in zip(est.t_grid, est.h_values, uppers):
-            fh.write(f"{float(t)!r},{float(lo)!r},{float(up)!r}\n")
+        _write_rows(fh, [est.t_grid, est.h_values, uppers])
     payload = {
         "fitted_exponent": est.fitted_exponent,
         "t_min": float(est.t_grid[0]),

@@ -18,7 +18,16 @@ expression, in dense mode (constant p only) lin_{j+1} = E lin_j + P1 B p_0
 with E = e^{Ah}, P1 = int_0^h e^{As} ds.  The nonlinear term uses
 piecewise-linear-in-time reconstruction of the f samples with exact
 per-mode exponential integration, so the only discretization error is the
-O(h^2) reconstruction error.
+O(h^2) reconstruction error; per Picard iteration that is the recurrence
+conv_{j+1} = E conv_j + A1 g_j + A2 g_{j+1}.
+
+Every such affine recurrence c_{j+1} = E c_j + r_j over the S substeps
+(the convolution, and in dense mode the free and linear parts) is solved
+by one doubling scan: ceil(log2(S+1)) array steps c[d:] += E^d c[:-d],
+d = 1, 2, 4, ..., with the powers E^(2^k) formed once per window
+(exp(mu h 2^k) per mode, repeated squaring of the dense E).  A dense
+generator builds its propagators E, P1, P2 once per distinct step length
+h and keeps them (see DenseGenerator.propagators).
 
 In analytic mode the iteration runs on y = (omega*I - A)^alpha x with the
 singular-kernel window certificate; a bounded-generator dense-matrix mode
@@ -452,6 +461,26 @@ class _WindowFailure(Exception):
     pass
 
 
+def _act(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M applied to the last axis of x: per-mode factors (diagonal mode)
+    or a matrix (dense mode)."""
+    return M * x if M.ndim == 1 else x @ M.T
+
+
+def _scan(c: np.ndarray, powers) -> np.ndarray:
+    """Solve c[j+1] = E c[j] + r_j in place, given c = [c0, r_0, ..., r_{S-1}]
+    along axis 0 and powers[k] = E^(2^k) for k < ceil(log2(S+1)).
+
+    Hillis-Steele doubling (Blelloch 1990): after the step with offset d
+    every row holds its recurrence value restricted to the last 2d inputs,
+    so log2 steps of c[d:] += E^d c[:-d] replace S sequential ones.
+    """
+    for k, P in enumerate(powers):
+        d = 1 << k
+        c[d:] += _act(P, c[:-d])
+    return c
+
+
 def _picard_window_raw(sys: EvolutionSystem, x0: np.ndarray, p: PolySignal,
                        t1: float, cfg: SolverConfig):
     """Iterate the window fixed-point map on the sub-grid, with the input
@@ -465,26 +494,29 @@ def _picard_window_raw(sys: EvolutionSystem, x0: np.ndarray, p: PolySignal,
     S = cfg.substeps_per_window
     tau = np.linspace(0.0, t1, S + 1)
     h = t1 / S
-    dense = isinstance(sg, DenseGenerator)
+    n_powers = S.bit_length()  # ceil(log2(S + 1))
 
-    if dense:
+    if isinstance(sg, DenseGenerator):
         if sys.B is not None and p.degree > 0:
             raise ValueError("polynomial inputs are not wired to the dense mode")
         E, P1, P2 = sg.propagators(h)
         A1 = P1 - P2
         A2 = P2
-        bu = P1 @ sys.B.apply(p.coeffs[0]) if sys.B is not None else 0.0
-        free = np.empty((S + 1, sg.n_modes))
-        lin = np.empty_like(free)
-        free[0] = lin[0] = x0
-        for j in range(S):
-            free[j + 1] = E @ free[j]
-            lin[j + 1] = E @ lin[j] + bu
+        powers = [E]
+        for _ in range(n_powers - 1):
+            powers.append(powers[-1] @ powers[-1])
+        # free and linear part in one scan: rows c0 = x0, r_j = 0 and P1 B p_0
+        c = np.zeros((S + 1, 2, sg.n_modes))
+        c[0] = x0
+        if sys.B is not None:
+            c[1:, 1] = P1 @ sys.B.apply(p.coeffs[0])
+        _scan(c, powers)
+        free, lin = c[:, 0], c[:, 1]
     else:
         z = sg.mu * h
-        E = np.exp(z)
         A1 = h * (phi1(z) - phi2(z))
         A2 = h * phi2(z)
+        powers = np.exp(np.multiply.outer(2.0 ** np.arange(n_powers), z))
         free = np.exp(np.outer(tau, sg.mu)) * x0[None, :]
         lin = free if sys.B is None else free + convolve_poly(sg, sys.B, p, tau[:, None])
 
@@ -497,16 +529,12 @@ def _picard_window_raw(sys: EvolutionSystem, x0: np.ndarray, p: PolySignal,
     ratio_floor = max(10.0 * cfg.picard_tol, 1e-13 * scale)
     contraction = 0.0
     prev_delta = None
+    conv = np.empty_like(y)
     for k in range(cfg.max_picard_iters):
         g = sys.b2_apply(sys.f.batch(y / w, u_vals)) * w
-        conv = np.zeros_like(y)
-        if dense:
-            for j in range(S):
-                conv[j + 1] = E @ conv[j] + A1 @ g[j] + A2 @ g[j + 1]
-        else:
-            for j in range(S):
-                conv[j + 1] = E * conv[j] + A1 * g[j] + A2 * g[j + 1]
-        y_new = lin_w + conv
+        conv[0] = 0.0
+        conv[1:] = _act(A1, g[:-1]) + _act(A2, g[1:])
+        y_new = lin_w + _scan(conv, powers)
         delta = float(np.max(np.linalg.norm(y_new - y, axis=1)))
         y = y_new
         if not np.isfinite(delta) or delta > 1e15 * scale:
@@ -759,26 +787,30 @@ def global_bound(sys: EvolutionSystem, x0_norm: float, u_norm: float,
 # export
 
 
-def trajectory_to_csv(traj: Trajectory, path: str) -> None:
-    """CSV columns t, norm_X [, norm_Xalpha], coeff_1..coeff_N.
+def _write_rows(fh, columns: Sequence[np.ndarray]) -> None:
+    """One CSV line per row of the column-stacked arrays (1-D arrays are
+    single columns), each value as the repr of a Python float (shortest
+    round-trip form, never a numpy scalar's repr), so reruns of a
+    deterministic scenario are byte-identical.  Rows are converted one at
+    a time: a whole table of Python floats would take 4x its array."""
+    cols = [np.asarray(c, float) for c in columns]
+    cols = [c[:, None] if c.ndim == 1 else c for c in cols]
+    for i in range(cols[0].shape[0]):
+        fh.write(",".join(repr(v) for c in cols for v in c[i].tolist()) + "\n")
 
-    Floats are written in shortest round-trip form, so reruns of a
-    deterministic scenario are byte-identical.
-    """
-    n = traj.coeffs.shape[1]
-    cols = ["t", "norm_X"]
+
+def trajectory_to_csv(traj: Trajectory, path: str) -> None:
+    """CSV columns t, norm_X [, norm_Xalpha], coeff_1..coeff_N."""
+    names = ["t", "norm_X"]
+    columns = [traj.times, traj.norms()]
     if traj.alpha_norms is not None:
-        cols.append("norm_Xalpha")
-    cols += [f"coeff_{i}" for i in range(1, n + 1)]
-    norms = traj.norms()
+        names.append("norm_Xalpha")
+        columns.append(traj.alpha_norms)
+    names += [f"coeff_{i}" for i in range(1, traj.coeffs.shape[1] + 1)]
+    columns.append(traj.coeffs)
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(traj.n_samples):
-            row = [repr(float(traj.times[i])), repr(float(norms[i]))]
-            if traj.alpha_norms is not None:
-                row.append(repr(float(traj.alpha_norms[i])))
-            row += [repr(float(c)) for c in traj.coeffs[i]]
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(names) + "\n")
+        _write_rows(fh, columns)
 
 
 def trajectory_diagnostics_json(traj: Trajectory, path: str) -> None:

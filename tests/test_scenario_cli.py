@@ -170,6 +170,12 @@ def test_burgers_scenario_snapshots(tmp_path):
     lines = (out / "snapshot_1.csv").read_text().splitlines()
     assert lines[0] == "# t = 0.25"
     assert lines[1] == "z,value"
+    # every cell is a plain float, not the repr of a numpy scalar
+    for name in ("snapshot_0.csv", "snapshot_1.csv"):
+        rows = (out / name).read_text().splitlines()[2:]
+        assert rows
+        for row in rows:
+            assert len([float(c) for c in row.split(",")]) == 2
 
 
 def test_admissibility_scenario(tmp_path, capsys):

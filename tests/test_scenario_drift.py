@@ -16,12 +16,14 @@ def drift():
     return mod
 
 
-def _write_outputs(root: Path, x: float = 0.25, status: str = "completed"):
+def _write_outputs(root: Path, x: float = 0.25, status: str = "completed",
+                   iters: int = 11):
     (root / "run").mkdir(parents=True)
     (root / "run" / "trajectory.csv").write_text(
         f"t,norm_X,coeff_1\n0.0,1.0,1.0\n0.5,{x!r},-0.125\n")
     (root / "run" / "diagnostics.json").write_text(json.dumps(
-        {"status": {"kind": status}, "windows": [{"t1": 0.5, "K": x}]},
+        {"status": {"kind": status},
+         "windows": [{"t1": 0.5, "K": x, "picard_iters": iters}]},
         indent=2, sort_keys=True))
 
 
@@ -38,7 +40,7 @@ def test_planted_numeric_change(drift, tmp_path):
     _write_outputs(tmp_path / "out", x=0.25 + 1e-12)
     assert drift.drift(tmp_path / "out" / "run" / "trajectory.csv",
                        tmp_path / "base" / "run" / "trajectory.csv") == \
-        pytest.approx((1e-12, 4e-12), rel=1e-3)
+        pytest.approx((1e-12, 4e-12, 0), rel=1e-3)
     lines, ok = drift.compare(tmp_path / "out", tmp_path / "base")
     assert ok
     assert lines == ["run/diagnostics.json: max abs 1.000e-12, max rel 4.000e-12",
@@ -56,3 +58,20 @@ def test_changed_string_or_file_set_fails(drift, tmp_path):
     (tmp_path / "out" / "run" / "extra.csv").write_text("a\n")
     lines, ok = drift.compare(tmp_path / "out", tmp_path / "base")
     assert "run/extra.csv: only in OUT" in lines and not ok
+
+
+def test_integer_fields_are_counted_apart(drift, tmp_path):
+    # picard_iters 11 -> 10 is one changed count, not a relative drift of 1/11
+    _write_outputs(tmp_path / "base", iters=11)
+    _write_outputs(tmp_path / "out", iters=10)
+    lines, ok = drift.compare(tmp_path / "out", tmp_path / "base")
+    assert ok
+    assert lines == ["run/diagnostics.json: max abs 0.000e+00, max rel 0.000e+00, "
+                     "1 integer fields differ",
+                     "run/trajectory.csv: identical"]
+
+    shutil.rmtree(tmp_path / "out")
+    _write_outputs(tmp_path / "out", x=0.25 + 1e-12, iters=10)
+    lines, _ = drift.compare(tmp_path / "out", tmp_path / "base")
+    assert lines[0] == ("run/diagnostics.json: max abs 1.000e-12, max rel 4.000e-12, "
+                        "1 integer fields differ")

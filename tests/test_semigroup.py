@@ -185,3 +185,36 @@ def test_diagonal_refuses_lam_below_growth_bound():
     sg = DiagonalSemigroup(mu=np.array([-1.0, -2.0]), omega=1.0, lam=-1.0)
     assert sg.lam == -1.0  # exact for a decaying spectrum
 
+
+
+def test_dense_memo_is_read_only_and_bit_identical():
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(6, 6)) - 2.0 * np.eye(6)
+    x = rng.normal(size=6)
+    g = DenseGenerator(A)
+    for h in (0.37, 0.37 / 64, 0.0):
+        first = g.propagators(h)
+        again = g.propagators(h)
+        fresh = DenseGenerator(A).propagators(h)
+        for a, b, c in zip(first, again, fresh):
+            assert a is b and not a.flags.writeable
+            assert np.array_equal(a, c)
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        assert not g._expm(h).flags.writeable
+        assert np.array_equal(g.apply_T(h, x), DenseGenerator(A).apply_T(h, x))
+        assert g.sg_distance(h, x) == DenseGenerator(A).sg_distance(h, x)
+
+
+def test_dense_memo_stays_within_its_budget():
+    from semiflow.semigroup import _DENSE_MEMO_BYTES
+
+    n = 32
+    g = DenseGenerator(-np.eye(n) + 0.01 * np.ones((n, n)))
+    per_entry = 3 * n * n * 8
+    hs = [0.01 * (1 + k / 512) for k in range(_DENSE_MEMO_BYTES // per_entry + 40)]
+    for h in hs:
+        g.propagators(h)
+        assert g._memo.nbytes <= _DENSE_MEMO_BYTES
+    assert g._memo.nbytes > _DENSE_MEMO_BYTES - per_entry  # full, oldest evicted
+    assert g.propagators(hs[-1])[0] is g.propagators(hs[-1])[0]

@@ -32,9 +32,11 @@ from semiflow import (
     zero_nonlinearity,
 )
 from semiflow.nonlinearities import arctan_saturation, scalar_square
+from semiflow.semigroup import phi1, phi2
 from semiflow.solver import (
     StepSelectionError,
     _mittag_leffler,
+    _picard_window_raw,
     convolve_poly,
     picard_window,
     poly_exp_integral,
@@ -133,6 +135,79 @@ def test_dense_linear_against_ivp_oracle():
     sol = scipy.integrate.solve_ivp(rhs, (0.0, 1.0), x0, rtol=1e-12, atol=1e-13,
                                     max_step=0.01)
     assert np.linalg.norm(traj.final_state().coeffs - sol.y[:, -1]) <= 1e-8
+
+
+def _sequential_window(sys, x0, t1, cfg):
+    """The window's Picard iteration with the plain recurrence
+    conv[j+1] = E conv[j] + A1 g[j] + A2 g[j+1], one substep at a time
+    (X mode, no input): the reference the kernel's scan must reproduce."""
+    sg, S = sys.semigroup, cfg.substeps_per_window
+    h = t1 / S
+    tau = np.linspace(0.0, t1, S + 1)
+    free = np.empty((S + 1, sys.n_modes))
+    free[0] = x0
+    if isinstance(sg, DenseGenerator):
+        E, P1, P2 = sg.propagators(h)
+        A1, A2 = P1 - P2, P2
+        for j in range(S):
+            free[j + 1] = E @ free[j]
+    else:
+        z = sg.mu * h
+        E, A1, A2 = np.exp(z), h * (phi1(z) - phi2(z)), h * phi2(z)
+        free = np.exp(np.outer(tau, sg.mu)) * x0
+    y = free
+    u = np.zeros((S + 1, 1))
+    for k in range(cfg.max_picard_iters):
+        g = sys.f.batch(y, u)
+        conv = np.zeros_like(y)
+        for j in range(S):
+            if E.ndim == 2:
+                conv[j + 1] = E @ conv[j] + A1 @ g[j] + A2 @ g[j + 1]
+            else:
+                conv[j + 1] = E * conv[j] + A1 * g[j] + A2 * g[j + 1]
+        y_new = free + conv
+        delta = float(np.max(np.linalg.norm(y_new - y, axis=1)))
+        y = y_new
+        if delta <= cfg.picard_tol:
+            return y, k + 1
+    raise AssertionError("reference iteration did not converge")
+
+
+@pytest.mark.parametrize("S", [8, 13, 64])
+@pytest.mark.parametrize("dense", [False, True])
+def test_window_scan_matches_sequential_recurrence(S, dense):
+    t1 = 0.25
+    # one unstable mode, two moderate ones, and a stiff one with mu h = -100,
+    # so E^d underflows to zero from d = 8 on
+    mu = np.array([2.0, -1.0, -0.3, -100.0 * S / t1])
+    if dense:
+        A = np.diag(mu) + np.triu(np.full((4, 4), 0.4), 1)
+        sg = DenseGenerator(A)
+    else:
+        sg = DiagonalSemigroup(mu=mu, omega=3.0)
+    sys = EvolutionSystem(sg, arctan_saturation(4, gain=0.5))
+    cfg = SolverConfig(substeps_per_window=S)
+    x0 = np.array([0.7, -1.1, 0.4, 0.9])
+    p = PolySignal(np.zeros((1, 1)))
+    _, y, iters, _ = _picard_window_raw(sys, x0, p, t1, cfg)
+    y_ref, iters_ref = _sequential_window(sys, x0, t1, cfg)
+    assert iters == iters_ref
+    scale = np.max(np.abs(y_ref), axis=0)
+    assert np.all(np.abs(y - y_ref) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("S", [8, 13, 64])
+def test_dense_window_free_rows_are_the_exponential(S):
+    import scipy.linalg
+
+    t1 = 0.25
+    A = np.diag([2.0, -1.0, -0.3, -100.0 * S / t1]) + np.triu(np.full((4, 4), 0.4), 1)
+    sys = EvolutionSystem(DenseGenerator(A), zero_nonlinearity(4))
+    x0 = np.array([0.7, -1.1, 0.4, 0.9])
+    tau, y, _, _ = _picard_window_raw(sys, x0, PolySignal(np.zeros((1, 1))), t1,
+                                      SolverConfig(substeps_per_window=S))
+    ref = np.array([scipy.linalg.expm(A * t) @ x0 for t in tau])
+    assert np.allclose(y, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
 
 
 def test_dense_nonlinear_against_ivp_oracle():
