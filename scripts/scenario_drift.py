@@ -3,12 +3,14 @@
     python3 scripts/scenario_drift.py OUT [BASE]
 
 Every scenarios/*.json runs in-process into OUT/<name>/, and each output
-file is listed with its sha256.  Given BASE, the OUT of an earlier run,
+file is listed with its sha256, a diagnostics.json also with the number of
+solver windows it records.  Given BASE, the OUT of an earlier run,
 each file is then reported as "identical" or with the largest absolute
 and relative difference over its floats (JSON floats, CSV cells, and
 whitespace-separated fields of text files); JSON integers are counts, so
 the ones that differ are counted apart ("N integer fields differ") rather
-than read as a relative drift.  The exit code is 1 when a
+than read as a relative drift.  The window counts of BASE and OUT follow,
+one line per diagnostics.json.  The exit code is 1 when a
 scenario run fails, when the two file sets differ, or when a non-numeric
 field differs; otherwise 0.
 """
@@ -39,6 +41,35 @@ def output_files(root: Path) -> dict:
     """Relative path -> sha256 of every file under root."""
     return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def window_count(path: Path):
+    """Number of solver windows a diagnostics.json records; None for any
+    other file."""
+    if path.name != "diagnostics.json":
+        return None
+    windows = json.loads(path.read_text()).get("windows")
+    return len(windows) if isinstance(windows, list) else None
+
+
+def listing(root: Path) -> list:
+    """One line per file under root: sha256, path, and the window count of
+    a diagnostics.json."""
+    lines = []
+    for name, digest in output_files(root).items():
+        n = window_count(root / name)
+        lines.append(f"{digest}  {name}" + (f"  windows={n}" if n is not None else ""))
+    return lines
+
+
+def window_lines(out: Path, base: Path) -> list:
+    """Window counts of BASE and OUT for every diagnostics.json in both."""
+    lines = []
+    for name in sorted(output_files(out).keys() & output_files(base).keys()):
+        n_out, n_base = window_count(out / name), window_count(base / name)
+        if n_out is not None and n_base is not None:
+            lines.append(f"{name}: windows BASE {n_base}, OUT {n_out}")
+    return lines
 
 
 def _field(s: str):
@@ -130,11 +161,10 @@ def main() -> int:
         ap.error(f"{args.out} is not empty")
 
     ok = run_all(args.out)
-    for name, digest in output_files(args.out).items():
-        print(f"{digest}  {name}")
+    print("\n".join(listing(args.out)))
     if args.base is not None:
         lines, same_files = compare(args.out, args.base)
-        print("\n".join(lines))
+        print("\n".join(lines + window_lines(args.out, args.base)))
         ok = ok and same_files
     return 0 if ok else 1
 

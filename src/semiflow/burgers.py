@@ -228,22 +228,22 @@ class BurgersSystem:
 
     def system(self, u_present: bool, d_present: bool,
                boundary_alpha: float = 0.2) -> EvolutionSystem:
-        """Assemble the evolution system for the requested input channels."""
+        """Assemble the evolution system for the requested input channels.
+
+        Each present disturbance is its own input block, in the order
+        distributed (N channels, the bounded identity), then boundary (one
+        channel, SmoothClass(boundary_alpha)): the input signal stacks them
+        the same way, and each block is certified under its own class.
+        """
+        blocks = []
+        if u_present:
+            blocks.append(InputOperator(np.eye(self.N), Bounded()))
         if d_present:
-            bd = self.boundary_operator(boundary_alpha)
-            if u_present:
-                coeffs = np.hstack((np.eye(self.N), bd.coeffs))
-                B = InputOperator(coeffs, SmoothClass(boundary_alpha))
-            else:
-                B = bd
-        elif u_present:
-            B = InputOperator(np.eye(self.N), Bounded())
-        else:
-            B = None
+            blocks.append(self.boundary_operator(boundary_alpha))
         return EvolutionSystem(
             semigroup=self.semigroup,
             f=self.nonlinearity(),
-            B=B,
+            B=tuple(blocks) or None,
             analytic_alpha=ANALYTIC_ORDER,
         )
 

@@ -139,8 +139,10 @@ class InputSignal:
         """Left limit at t; at t = 0 this coincides with value(0)."""
         return self.values[self._cell_index(t, "left")]
 
-    def sup_norm(self, t0: float = 0.0, t1: Optional[float] = None) -> float:
-        """ess-sup of |u| over [t0, t1] (whole domain by default)."""
+    def sup_norm(self, t0: float = 0.0, t1: Optional[float] = None,
+                 cols: slice = slice(None)) -> float:
+        """ess-sup of |u| over [t0, t1] (whole domain by default); cols
+        restricts u to a block of its channels."""
         if t1 is None:
             t1 = self.horizon
         if t1 < t0:
@@ -150,7 +152,7 @@ class InputSignal:
         # to the single containing cell
         hi = max(int(np.searchsorted(self.grid, t1, side="left")) - 1, lo)
         hi = min(hi, self.values.shape[0] - 1)
-        return float(np.max(np.linalg.norm(self.values[lo : hi + 1], axis=1)))
+        return float(np.max(np.linalg.norm(self.values[lo : hi + 1, cols], axis=1)))
 
     def shift(self, tau: float) -> "InputSignal":
         """Time shift: the returned signal is s -> u(s + tau) on [0, horizon - tau]."""

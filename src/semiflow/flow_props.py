@@ -277,7 +277,8 @@ def _continuity_ratio(sys: EvolutionSystem, traj: Trajectory,
             u_sup = u.sup_norm(d.t_start, min(d.t_start + d.t1, u.horizon))
         else:
             u_sup = 0.0
-        gain_h, in_h = sys.gain(h), sys.input_gain(h)
+        # sum_i h_i times the joint sup bounds sum_i h_i sup|u_i|
+        gain_h, in_h = sys.gain(h), sum(sys.input_gain(h))
         load = d.lipschitz * (d.K + d.delta) \
             + sys.f.growth_sigma(u_sup) + sys.f.growth_c
         flat = in_h * u_sup + gain_h * load
@@ -392,7 +393,7 @@ def check_continuous_dependence(sys: EvolutionSystem, pairs, tau: float,
         dx = sys.working_norm(x1.coeffs - x2.coeffs)
         du_w = signal_sup_distance(u1, u2, t1)
         du_full = signal_sup_distance(u1, u2, tau)
-        h_t1 = sys.input_gain(t1)
+        h_t1 = sum(sys.input_gain(t1))
         growth = 2.0 * sg.M * math.exp(sg.lam * t1)
         bound_w = growth * dx + 2.0 * h_t1 * du_w + q(du_w)
 

@@ -553,7 +553,7 @@ def _run_solve(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
     sys_ = _build_system(sc["system"], modes)
     x0 = _build_state(sc["x0"], sys_.n_modes)
     # u drives B when present; without B the channel count is f's business
-    u = _build_input(sc.get("input"), sys_.B.m if sys_.B is not None else None)
+    u = _build_input(sc.get("input"), sys_.input_channels if sys_.B is not None else None)
     cfg = _build_cfg(sc.get("solver"), substeps)
     traj = solve(sys_, x0, u, sc["t_end"], cfg,
                  checkpoint_times=sc.get("checkpoints"))

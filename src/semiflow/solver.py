@@ -33,7 +33,8 @@ In analytic mode the iteration runs on y = (omega*I - A)^alpha x with the
 singular-kernel window certificate; a bounded-generator dense-matrix mode
 covers finite ODE systems with the same code path.  EvolutionSystem owns
 the working norm (X, or X_alpha in analytic mode) and the window constants
-c_t (nonlinear channel) and h_t (input channel) every certificate reads.
+c_t (nonlinear channel) and h_t (one per input block) every certificate
+reads.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict, field
-from typing import List, Optional, Sequence, Union
+from functools import reduce
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.special
@@ -129,10 +131,12 @@ class PolySignal:
         k = np.arange(1, self.coeffs.shape[0])[:, None]
         return PolySignal(self.coeffs[1:] * k)
 
-    def sup_norm(self, t0: float = 0.0, t1: float = 1.0) -> float:
-        """Certified bound sum_k |p_k| max(|t0|,|t1|)^k >= sup over [t0, t1]."""
+    def sup_norm(self, t0: float = 0.0, t1: float = 1.0,
+                 cols: slice = slice(None)) -> float:
+        """Certified bound sum_k |p_k| max(|t0|,|t1|)^k >= sup over [t0, t1];
+        cols restricts u to a block of its channels."""
         tm = max(abs(t0), abs(t1))
-        return float(sum(np.linalg.norm(self.coeffs[k]) * tm ** k
+        return float(sum(np.linalg.norm(self.coeffs[k, cols]) * tm ** k
                          for k in range(self.coeffs.shape[0])))
 
     def shift(self, tau: float) -> "PolySignal":
@@ -188,11 +192,19 @@ DrivingSignal = Union[InputSignal, PolySignal]
 class EvolutionSystem:
     """Semilinear system dx/dt = A x + B2 f(x, u) + B u on a spectral truncation.
 
+    B is one input operator or a tuple of them, the channel blocks.  Block
+    i acts on the next B_i.m columns of the one stacked input signal, so
+    B u = sum_i B_i u_i with u_i those columns.  Each block keeps its own
+    declared class and gets its own window constant h_t (input_gain), and
+    select_step charges each h_t against the sup of its own columns.  One
+    operator is the one-block case; Burgers' distributed and boundary
+    disturbances are two blocks.
+
     B2 = None means the identity embedding X -> X_{-1}.  analytic_alpha
     selects the fractional-space solver: the Picard iteration then runs on
     y = (omega*I - A)^alpha x, requires an analytic diagonal semigroup and
     the identity B2, and reports both X and X_alpha norms.  When the
-    declared smoothness of B does not reach analytic_alpha the truncation
+    declared smoothness of a block does not reach analytic_alpha the truncation
     is still well-defined but the window certificates are truncation-level
     only; the deficit is recorded in input_regularity_deficit rather than
     refused, since the canonical boundary-driven example lives there.
@@ -203,21 +215,34 @@ class EvolutionSystem:
 
     semigroup: Union[DiagonalSemigroup, DenseGenerator]
     f: Nonlinearity
-    B: Optional[InputOperator] = None
+    B: Union[None, InputOperator, Tuple[InputOperator, ...]] = None
     B2: Optional[InputOperator] = None
     analytic_alpha: Optional[float] = None
     weights: np.ndarray = field(init=False, repr=False)
+    input_blocks: Tuple[InputOperator, ...] = field(init=False, repr=False)
+    input_columns: Tuple[slice, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         sg = self.semigroup
-        for op, name in ((self.B, "B"), (self.B2, "B2")):
+        B = self.B
+        blocks = () if B is None else (B,) if isinstance(B, InputOperator) else tuple(B)
+        if B is not None and not blocks:
+            raise ValueError("B needs at least one block")
+        columns, start = [], 0
+        for op in blocks:
+            columns.append(slice(start, start + op.m))
+            start += op.m
+        object.__setattr__(self, "input_blocks", blocks)
+        object.__setattr__(self, "input_columns", tuple(columns))
+        ops = [(op, "B") for op in blocks] + [(self.B2, "B2")]
+        for op, name in ops:
             if op is not None and op.n_modes != sg.n_modes:
                 raise ValueError(f"{name} mode count does not match the semigroup")
         a = self.alpha
         if isinstance(sg, DenseGenerator):
             if a != 0.0:
                 raise ValueError("analytic mode needs a diagonal analytic semigroup")
-            for op, name in ((self.B, "B"), (self.B2, "B2")):
+            for op, name in ops:
                 if op is not None and not isinstance(op.declared_class, Bounded):
                     raise ValueError(
                         f"{name}: only bounded operators enter the dense ODE mode"
@@ -229,7 +254,7 @@ class EvolutionSystem:
                 raise ValueError("analytic mode needs an analytic semigroup")
             if self.B2 is not None:
                 raise ValueError("analytic mode fixes B2 to the identity")
-            if self.B is not None and isinstance(self.B.declared_class, QAdmissible):
+            if any(isinstance(op.declared_class, QAdmissible) for op in blocks):
                 raise ValueError(
                     "analytic mode needs a bounded or smooth_class input operator"
                 )
@@ -248,15 +273,16 @@ class EvolutionSystem:
 
     @property
     def input_regularity_deficit(self) -> bool:
-        """True when B's declared smoothness falls short of analytic_alpha."""
-        if self.alpha == 0.0 or self.B is None:
-            return False
-        cls = self.B.declared_class
-        return isinstance(cls, SmoothClass) and cls.alpha <= self.alpha
+        """True when some block's declared smoothness falls short of
+        analytic_alpha."""
+        return self.alpha > 0.0 and any(
+            isinstance(op.declared_class, SmoothClass)
+            and op.declared_class.alpha <= self.alpha for op in self.input_blocks)
 
     @property
     def input_channels(self) -> int:
-        return self.B.m if self.B is not None else 1
+        cols = self.input_columns
+        return cols[-1].stop if cols else 1
 
     def b2_apply(self, g: np.ndarray) -> np.ndarray:
         if self.B2 is None:
@@ -282,11 +308,15 @@ class EvolutionSystem:
         return (C * math.exp(max(kappa, 0.0) * t) * t ** (1.0 - self.alpha)
                 / (1.0 - self.alpha))
 
-    def input_gain(self, t: float) -> float:
-        """Window constant h_t of the B channel: a certified bound on the
-        working norm of int_0^t T_{-1}(t-s) B u(s) ds for unit-sup u."""
-        B, sg, alpha = self.B, self.semigroup, self.alpha
-        if B is None or t == 0.0:
+    def input_gain(self, t: float) -> Tuple[float, ...]:
+        """Window constants h_t of the input blocks, one per block: h_t of
+        block B_i certifies the working norm of int_0^t T_{-1}(t-s) B_i v(s) ds
+        for unit-sup v.  Empty without B."""
+        return tuple([self._block_gain(op, t) for op in self.input_blocks])
+
+    def _block_gain(self, B: InputOperator, t: float) -> float:
+        sg, alpha = self.semigroup, self.alpha
+        if t == 0.0:
             return 0.0
         if alpha == 0.0:
             return _h_inf_bound(sg, B, t)
@@ -301,6 +331,14 @@ class EvolutionSystem:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Window-kernel settings.
+
+    picard_tol is relative: a window's Picard iteration stops once the
+    largest working-norm change over the sub-grid is at most
+    picard_tol * max(1, sup |linear part|), so a state of size 1e6 is not
+    held to an absolute tolerance below its own roundoff.
+    """
+
     substeps_per_window: int = 64
     picard_tol: float = 1e-10
     max_picard_iters: int = 60
@@ -404,17 +442,33 @@ class Trajectory:
 def select_step(sys: EvolutionSystem, K: float, u_sup: float,
                 cfg: Optional[SolverConfig] = None, *,
                 start_state: np.ndarray,
-                cap: Optional[float] = None) -> float:
+                cap: Optional[float] = None,
+                block_sups: Optional[Sequence[float]] = None) -> float:
     """Largest dyadic-bisected window length t1 <= cap (cap <= 1) with
 
     (a) c_{t1} * L(K') <= contraction target, and
     (b) the invariance inequality of the ball of radius delta around the
         window's start state,
 
+        |(T(t1) - I) x| + sum_i h_i(t1) sup|u_i|
+            + c_{t1} (L(K') K' + sigma(u_sup) + c) <= delta,
+
     where delta = max(1, K) and K' = K + delta bounds every norm seen in
     the window.  Certificates are evaluated in the system's working norm;
     start_state (raw X coefficients) enters through the exact
     strong-continuity term |(T(t) - I) x|.
+
+    u_sup is the sup of the whole input on [0, cap]: f sees the stacked
+    value, so L is taken at max(K', u_sup) and sigma at u_sup.  block_sups
+    holds the sup of each input block's columns (default u_sup for every
+    block).  The input term is sound block by block: the input convolution
+    of B u is the sum over blocks of the convolution of B_i u_i, so its norm
+    is at most sum_i h_i(t) sup|u_i| by the triangle inequality, the
+    admissibility constant of a sum being at most the sum of the constants
+    (Tucsnak & Weiss 2009, ch. 4).  Each h_i is certified for its own
+    block's declared class, so a smooth block is not charged the
+    truncation-level constant of a rough one, as one stacked operator
+    under the rougher class would be.
     """
     cfg = cfg or SolverConfig()
     sg = sys.semigroup
@@ -425,13 +479,16 @@ def select_step(sys: EvolutionSystem, K: float, u_sup: float,
     sigma_u = sys.f.growth_sigma(u_sup)
     c_off = sys.f.growth_c
     cap = min(cfg.window_cap, cap if cap is not None else cfg.window_cap)
+    if block_sups is None:
+        block_sups = [u_sup] * len(sys.input_blocks)
 
     for k in range(cfg.max_window_bisections + 1):
         t = cap * 0.5 ** k
         gain = sys.gain(t)
         contraction_ok = gain * L <= theta
+        input_term = sum([h * s for h, s in zip(sys.input_gain(t), block_sups)])
         invariance_ok = (
-            sg.sg_distance(t, start_state, sys.alpha) + sys.input_gain(t) * u_sup
+            sg.sg_distance(t, start_state, sys.alpha) + input_term
             + gain * (L * K_prime + sigma_u + c_off) <= delta
         )
         if contraction_ok and invariance_ok:
@@ -496,8 +553,9 @@ def _picard_window_raw(sys: EvolutionSystem, x0: np.ndarray, p: PolySignal,
     h = t1 / S
     n_powers = S.bit_length()  # ceil(log2(S + 1))
 
+    blocks = list(zip(sys.input_blocks, sys.input_columns))
     if isinstance(sg, DenseGenerator):
-        if sys.B is not None and p.degree > 0:
+        if blocks and p.degree > 0:
             raise ValueError("polynomial inputs are not wired to the dense mode")
         E, P1, P2 = sg.propagators(h)
         A1 = P1 - P2
@@ -508,8 +566,9 @@ def _picard_window_raw(sys: EvolutionSystem, x0: np.ndarray, p: PolySignal,
         # free and linear part in one scan: rows c0 = x0, r_j = 0 and P1 B p_0
         c = np.zeros((S + 1, 2, sg.n_modes))
         c[0] = x0
-        if sys.B is not None:
-            c[1:, 1] = P1 @ sys.B.apply(p.coeffs[0])
+        if blocks:
+            c[1:, 1] = P1 @ reduce(np.add, [op.apply(p.coeffs[0, cols])
+                                            for op, cols in blocks])
         _scan(c, powers)
         free, lin = c[:, 0], c[:, 1]
     else:
@@ -518,7 +577,10 @@ def _picard_window_raw(sys: EvolutionSystem, x0: np.ndarray, p: PolySignal,
         A2 = h * phi2(z)
         powers = np.exp(np.multiply.outer(2.0 ** np.arange(n_powers), z))
         free = np.exp(np.outer(tau, sg.mu)) * x0[None, :]
-        lin = free if sys.B is None else free + convolve_poly(sg, sys.B, p, tau[:, None])
+        # each block convolves its own columns: B u = sum_i B_i u_i
+        lin = free if not blocks else free + reduce(np.add, [
+            convolve_poly(sg, op, PolySignal(p.coeffs[:, cols]), tau[:, None])
+            for op, cols in blocks])
 
     w = sys.weights[None, :]
     lin_w = lin * w
@@ -541,7 +603,7 @@ def _picard_window_raw(sys: EvolutionSystem, x0: np.ndarray, p: PolySignal,
             raise _WindowFailure("Picard iteration diverged")
         if prev_delta is not None and prev_delta > ratio_floor:
             contraction = max(contraction, delta / prev_delta)
-        if delta <= cfg.picard_tol:
+        if delta <= cfg.picard_tol * scale:
             return tau, y, k + 1, contraction
         prev_delta = delta
     raise _WindowFailure(f"no convergence in {cfg.max_picard_iters} Picard iterations")
@@ -635,9 +697,12 @@ def _solve_loop(sys: EvolutionSystem, x0: SpectralState,
         next_mark = next(m for m in marks if m > t + 1e-13)
         cap = min(cfg.window_cap, next_mark - t)
         u_loc = u.shift(t) if t > 0 else u
-        u_sup = u_loc.sup_norm(0.0, cap)
+        block_sups = [u_loc.sup_norm(0.0, cap, cols) for cols in sys.input_columns]
+        # a single block's sup is the joint one
+        u_sup = block_sups[0] if len(block_sups) == 1 else u_loc.sup_norm(0.0, cap)
         try:
-            t1 = select_step(sys, K, u_sup, cfg, start_state=x, cap=cap)
+            t1 = select_step(sys, K, u_sup, cfg, start_state=x, cap=cap,
+                             block_sups=block_sups)
         except StepSelectionError as e:
             status = Status.failed(str(e))
             break
@@ -740,8 +805,9 @@ def global_bound(sys: EvolutionSystem, x0_norm: float, u_norm: float,
 
         b <- 2 (M e^{lam t1} b + h_{t1} |u| + c_{t1} (sigma(|u|) + c))
 
-    over ceil(t/t1) windows with c_{t1} L <= 1/2; it needs a uniform
-    Lipschitz certificate.  Analytic mode combines the linear-growth
+    over ceil(t/t1) windows with c_{t1} L <= 1/2, h_{t1} the sum of the
+    input blocks' constants (|u| bounds each block's sup); it needs a
+    uniform Lipschitz certificate.  Analytic mode combines the linear-growth
     certificate with a singular-kernel comparison (Mittag-Leffler)
     envelope for the X_alpha norm.
     """
@@ -763,7 +829,7 @@ def global_bound(sys: EvolutionSystem, x0_norm: float, u_norm: float,
             raise StepSelectionError("no window with c_t * L <= 1/2")
         n_windows = max(1, math.ceil(t / t1 - 1e-12))
         growth = sg.M * math.exp(sg.lam * t1)
-        h_t1 = sys.input_gain(t1)
+        h_t1 = sum(sys.input_gain(t1))
         c_t1 = sys.gain(t1)
         b = x0_norm
         for _ in range(n_windows):
@@ -774,7 +840,7 @@ def global_bound(sys: EvolutionSystem, x0_norm: float, u_norm: float,
     C = sg.smoothing_constant(alpha, kappa=kappa)
     a_const = (
         sg.M * math.exp(max(sg.lam, 0.0) * t) * x0_norm
-        + sys.input_gain(t) * u_norm
+        + sum(sys.input_gain(t)) * u_norm
         + sys.gain(t) * sigma_u
     )
     b_kernel = L * C * math.exp(max(kappa, 0.0) * t)
@@ -787,16 +853,21 @@ def global_bound(sys: EvolutionSystem, x0_norm: float, u_norm: float,
 # export
 
 
+# rows converted to Python floats at a time by _write_rows: a whole table
+# of Python floats would take about 4x its array
+_CSV_BLOCK_ROWS = 512
+
+
 def _write_rows(fh, columns: Sequence[np.ndarray]) -> None:
     """One CSV line per row of the column-stacked arrays (1-D arrays are
     single columns), each value as the repr of a Python float (shortest
     round-trip form, never a numpy scalar's repr), so reruns of a
-    deterministic scenario are byte-identical.  Rows are converted one at
-    a time: a whole table of Python floats would take 4x its array."""
-    cols = [np.asarray(c, float) for c in columns]
-    cols = [c[:, None] if c.ndim == 1 else c for c in cols]
-    for i in range(cols[0].shape[0]):
-        fh.write(",".join(repr(v) for c in cols for v in c[i].tolist()) + "\n")
+    deterministic scenario are byte-identical.  The columns are stacked
+    once and written _CSV_BLOCK_ROWS rows at a time."""
+    table = np.column_stack([np.asarray(c, float) for c in columns])
+    for i in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+        rows = table[i : i + _CSV_BLOCK_ROWS].tolist()
+        fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
 
 
 def trajectory_to_csv(traj: Trajectory, path: str) -> None:

@@ -7,13 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiflow import (
+    EvolutionSystem,
+    InputOperator,
     InputSignal,
+    PolySignal,
     SmoothClass,
     SolverConfig,
     SpectralState,
     make_local_term,
+    solve,
+    stack_channels,
 )
 from semiflow.burgers import BurgersSystem, SineBasis
+from semiflow.solver import convolve_poly
 
 
 def project_mode(fn, k):
@@ -203,12 +209,68 @@ def test_simulate_channel_validation():
 def test_system_channel_assembly():
     bs = BurgersSystem(8)
     both = bs.system(True, True)
-    assert both.B.m == 9  # N distributed channels + 1 boundary channel
+    assert both.input_channels == 9  # N distributed channels + 1 boundary channel
     assert both.input_regularity_deficit  # alpha = 0.2 below the order 1/2
     only_u = bs.system(True, False)
-    assert only_u.B.m == 8
+    assert only_u.input_channels == 8
     free = bs.system(False, False)
     assert free.B is None
+
+
+def _stacked_system(bs: BurgersSystem) -> EvolutionSystem:
+    """Both disturbances as one operator [I | b] under the boundary's class."""
+    both = bs.system(True, True)
+    coeffs = np.hstack([op.coeffs for op in both.input_blocks])
+    return EvolutionSystem(bs.semigroup, both.f,
+                           B=InputOperator(coeffs, SmoothClass(0.2)),
+                           analytic_alpha=both.analytic_alpha)
+
+
+@pytest.mark.parametrize("N", [16, 32])
+def test_per_channel_input_bound_dominates_the_exact_response(N):
+    # sum_i h_i(t) |u_i| against the working norm of the exact response to
+    # constant inputs, and against the bound of the stacked operator.  The
+    # inputs have the case study's sizes: the stacked constant is about the
+    # boundary block's, so a boundary value far above the distributed one
+    # would leave the split bound no smaller
+    bs = BurgersSystem(N)
+    sys, stacked = bs.system(True, True), _stacked_system(bs)
+    sg = bs.semigroup
+    rng = np.random.default_rng(N)
+    modes = np.arange(1.0, N + 1.0)
+    for k in range(1, 13):
+        t = 2.0 ** -k
+        gains = sys.input_gain(t)
+        (h_stacked,) = stacked.input_gain(t)
+        for _ in range(6):
+            u = rng.normal(size=N) / modes
+            u *= rng.uniform(0.1, 0.5) / np.linalg.norm(u)
+            d = rng.uniform(-0.05, 0.05, size=1)
+            resp = sum(convolve_poly(sg, op, PolySignal(v[None, :]), t)
+                       for op, v in zip(sys.input_blocks, (u, d)))
+            bound = gains[0] * np.linalg.norm(u) + gains[1] * abs(d[0])
+            assert sys.working_norm(resp) <= bound
+            assert bound < h_stacked * np.linalg.norm(np.append(u, d))
+
+
+def test_two_channel_solve_agrees_with_the_stacked_block():
+    # the case study's shape at 32 modes, where the boundary block's
+    # truncation-level constant dominates the stacked one
+    bs = BurgersSystem(32, local=make_local_term("sine_tanh", {"amplitude": 0.3}))
+    rng = np.random.default_rng(5)
+    modes = np.arange(1.0, 33.0)
+    grid = np.array([0.0, 0.04, 0.1])
+    u = rng.normal(size=(2, 32)) / modes
+    u = InputSignal(grid, 0.3 * u / np.linalg.norm(u, axis=1, keepdims=True))
+    d = InputSignal(grid, np.array([[0.03], [0.05]]))
+    x0 = rng.normal(size=32) / modes ** 2
+    x0 = SpectralState(0.3 * x0 / np.linalg.norm(x0))
+    split = bs.simulate(x0, u, d, 0.1)
+    joint = solve(_stacked_system(bs), x0, stack_channels(u, d), 0.1)
+    assert split.status.kind == joint.status.kind == "completed"
+    err = np.linalg.norm(split.final_state().coeffs - joint.final_state().coeffs)
+    assert err <= 1e-8
+    assert 2 * len(split.diagnostics) <= len(joint.diagnostics)
 
 
 def test_physical_snapshot_shapes():

@@ -75,3 +75,19 @@ def test_integer_fields_are_counted_apart(drift, tmp_path):
     lines, _ = drift.compare(tmp_path / "out", tmp_path / "base")
     assert lines[0] == ("run/diagnostics.json: max abs 1.000e-12, max rel 4.000e-12, "
                         "1 integer fields differ")
+
+
+def test_window_counts_listed_and_compared(drift, tmp_path):
+    _write_outputs(tmp_path / "base")
+    _write_outputs(tmp_path / "out")
+    diag = tmp_path / "out" / "run" / "diagnostics.json"
+    payload = json.loads(diag.read_text())
+    payload["windows"] *= 3
+    diag.write_text(json.dumps(payload))
+    assert drift.window_count(diag) == 3
+    assert drift.window_count(tmp_path / "out" / "run" / "trajectory.csv") is None
+    listing = drift.listing(tmp_path / "out")
+    assert listing[0].endswith("  run/diagnostics.json  windows=3")
+    assert listing[1].endswith("  run/trajectory.csv")
+    assert drift.window_lines(tmp_path / "out", tmp_path / "base") == \
+        ["run/diagnostics.json: windows BASE 1, OUT 3"]

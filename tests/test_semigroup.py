@@ -102,6 +102,50 @@ def test_smoothing_constant_dominates_random_times():
             assert v <= C * 1.005
 
 
+def _sampled_smoothing_constant(sg, beta, kappa, t_max=1.0):
+    """The constant as it used to be computed: the largest value of
+    t^beta |(omega - A)^beta T(t)| e^{-kappa t} on 16 points per octave."""
+    worst = 0.0
+    for j in range(48):
+        for frac in np.linspace(1.0, 1.9375, 16):
+            t = t_max * 2.0 ** (-j) * frac
+            if t <= t_max * (1 + 1e-12):
+                worst = max(worst, t ** beta * sg.frac_T_norm(beta, t) * np.exp(-kappa * t))
+    return worst
+
+
+def test_smoothing_constant_is_above_the_sampled_value():
+    # at beta = 0.8 the peak t* = 0.8 of mode 1 falls between grid points,
+    # so the sampled value was no bound; the closed form is the peak itself
+    sg = heat_dirichlet_semigroup(16)
+    C = sg.smoothing_constant(0.8)
+    assert C == pytest.approx(0.8 ** 0.8 * np.exp(-0.8) * 2.0 ** 0.8, rel=1e-14)
+    assert C - _sampled_smoothing_constant(sg, 0.8, 0.0) > 5e-5 * C
+
+
+_SPECTRA = [
+    (heat_dirichlet_semigroup(16), None, 1.0),
+    (DiagonalSemigroup(mu=-np.sort(np.random.default_rng(1).uniform(0.5, 400.0, 24)),
+                       omega=1.0, analytic=True), None, 1.0),
+    # kappa below a mode's rate (sup at t_max) and peaks cut off by t_max
+    (DiagonalSemigroup(mu=np.array([0.5, -1.0, -30.0]), omega=1.0, analytic=True), 0.0, 0.05),
+]
+
+
+@pytest.mark.parametrize("beta", [0.25, 0.5, 0.8])
+@pytest.mark.parametrize("case", range(len(_SPECTRA)))
+def test_smoothing_constant_dominates_log_spaced_samples(case, beta):
+    sg, kappa, t_max = _SPECTRA[case]
+    C = sg.smoothing_constant(beta, kappa=kappa, t_max=t_max)
+    kappa = sg.omega0 + 1.0 if kappa is None else kappa
+    worst = 0.0
+    for t in np.array_split(np.geomspace(1e-9 * t_max, t_max, 10 ** 5), 20):
+        norms = np.max(sg.frac_weights(beta) * np.exp(np.outer(t, sg.mu)), axis=1)
+        worst = max(worst, float(np.max(t ** beta * norms * np.exp(-kappa * t))))
+    assert worst <= C * (1 + 1e-13)
+    assert worst >= C * (1 - 1e-6)  # and the samples come close to it
+
+
 def test_smoothing_constant_beta_zero_is_M():
     sg = DiagonalSemigroup(mu=np.array([-1.0]), omega=1.0, M=2.0, analytic=True)
     assert sg.smoothing_constant(0.0) == 2.0

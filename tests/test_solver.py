@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -31,12 +32,15 @@ from semiflow import (
     upper_bound_h,
     zero_nonlinearity,
 )
+from semiflow.core import KinfFunction, Nonlinearity
 from semiflow.nonlinearities import arctan_saturation, scalar_square
 from semiflow.semigroup import phi1, phi2
 from semiflow.solver import (
+    _CSV_BLOCK_ROWS,
     StepSelectionError,
     _mittag_leffler,
     _picard_window_raw,
+    _write_rows,
     convolve_poly,
     picard_window,
     poly_exp_integral,
@@ -157,6 +161,7 @@ def _sequential_window(sys, x0, t1, cfg):
         free = np.exp(np.outer(tau, sg.mu)) * x0
     y = free
     u = np.zeros((S + 1, 1))
+    scale = max(1.0, float(np.max(np.linalg.norm(free, axis=1))))
     for k in range(cfg.max_picard_iters):
         g = sys.f.batch(y, u)
         conv = np.zeros_like(y)
@@ -168,7 +173,7 @@ def _sequential_window(sys, x0, t1, cfg):
         y_new = free + conv
         delta = float(np.max(np.linalg.norm(y_new - y, axis=1)))
         y = y_new
-        if delta <= cfg.picard_tol:
+        if delta <= cfg.picard_tol * scale:
             return y, k + 1
     raise AssertionError("reference iteration did not converge")
 
@@ -279,14 +284,14 @@ def test_working_space_members_x_mode():
     for t in (0.125, 0.5, 1.0):
         # M = 1, lam = 0.5: c_t = (e^{lam t} - 1)/lam and h_t = |B| c_t
         assert sys.gain(t) == pytest.approx(_phi1_bound(0.5, t), rel=1e-14)
-        assert sys.input_gain(t) == pytest.approx(2.0 * _phi1_bound(0.5, t), rel=1e-14)
-    assert sys.input_gain(0.0) == 0.0
-    assert EvolutionSystem(sg, nl).input_gain(0.5) == 0.0
+        assert sys.input_gain(t) == pytest.approx((2.0 * _phi1_bound(0.5, t),), rel=1e-14)
+    assert sys.input_gain(0.0) == (0.0,)
+    assert EvolutionSystem(sg, nl).input_gain(0.5) == ()
     # a bare q-admissibility declaration gets the truncation-level bound on
     # B and no zero-class certificate on B2
     Bq = InputOperator(np.array([[0.0], [3.0], [4.0]]), QAdmissible(2.0))
     sys_q = EvolutionSystem(sg, nl, B=Bq, B2=Bq)
-    assert sys_q.input_gain(0.5) == pytest.approx(5.0 * _phi1_bound(0.5, 0.5), rel=1e-14)
+    assert sys_q.input_gain(0.5) == pytest.approx((5.0 * _phi1_bound(0.5, 0.5),), rel=1e-14)
     with pytest.raises(ValueError, match="q_admissible"):
         sys_q.gain(0.5)
 
@@ -298,12 +303,13 @@ def test_input_gain_smooth_class_x_mode():
     sys = EvolutionSystem(sg, zero_nonlinearity(16), B=B)
     # M = 1, lam = 0: the smaller of |B| t and the t^alpha smoothing bound;
     # the first is smaller at t = 0.01, the second at t = 1
-    assert sys.input_gain(0.01) == pytest.approx(0.01 * B.norm(), rel=1e-14)
-    assert sys.input_gain(1.0) == upper_bound_h(sg, B, 0.0, 1.0) < B.norm()
+    assert sys.input_gain(0.01) == pytest.approx((0.01 * B.norm(),), rel=1e-14)
+    assert sys.input_gain(1.0) == (upper_bound_h(sg, B, 0.0, 1.0),)
+    assert upper_bound_h(sg, B, 0.0, 1.0) < B.norm()
     # without analyticity only the bounded-operator bound is certified
     plain = DiagonalSemigroup(mu=-(n ** 2), omega=1.0)
     assert EvolutionSystem(plain, zero_nonlinearity(16), B=B).input_gain(0.5) \
-        == pytest.approx(0.5 * B.norm(), rel=1e-14)
+        == pytest.approx((0.5 * B.norm(),), rel=1e-14)
 
 
 def test_working_space_members_analytic_mode():
@@ -321,15 +327,15 @@ def test_working_space_members_analytic_mode():
     C = sg.smoothing_constant(0.5, kappa=0.0)
     for t in (0.01, 0.25):
         assert sys.gain(t) == pytest.approx(2.0 * C * np.sqrt(t), rel=1e-14)
-        assert sys.input_gain(t) == pytest.approx(sys.gain(t), rel=1e-14)
+        assert sys.input_gain(t) == pytest.approx((sys.gain(t),), rel=1e-14)
     smooth = InputOperator(n ** -1.0, SmoothClass(0.8))
     sys_s = EvolutionSystem(sg, nl, B=smooth, analytic_alpha=0.5)
-    assert sys_s.input_gain(0.25) == upper_bound_h(sg, smooth, 0.5, 0.25)
+    assert sys_s.input_gain(0.25) == (upper_bound_h(sg, smooth, 0.5, 0.25),)
     # a smoothness deficit falls back to |(omega - A)^alpha B| M t at lam = 0
     rough = InputOperator(n * np.sqrt(2 / np.pi), SmoothClass(0.2))
     sys_r = EvolutionSystem(sg, nl, B=rough, analytic_alpha=0.5)
     assert sys_r.input_gain(0.25) == pytest.approx(
-        0.25 * np.linalg.norm(w * rough.coeffs[:, 0]), rel=1e-14)
+        (0.25 * np.linalg.norm(w * rough.coeffs[:, 0]),), rel=1e-14)
 
 
 def test_working_space_members_dense():
@@ -342,7 +348,7 @@ def test_working_space_members_dense():
     assert sys.working_norm(np.array([3.0, 4.0])) == 5.0
     t = 0.3
     assert sys.gain(t) == pytest.approx(_phi1_bound(lam, t), rel=1e-14)
-    assert sys.input_gain(t) == pytest.approx(5.0 * _phi1_bound(lam, t), rel=1e-14)
+    assert sys.input_gain(t) == pytest.approx((5.0 * _phi1_bound(lam, t),), rel=1e-14)
 
 
 def test_poly_signal_algebra():
@@ -539,6 +545,81 @@ def test_constant_input_solve_is_the_closed_form_bit_for_bit():
         assert np.array_equal(c, want)
 
 
+def _linear_f(n_modes, a):
+    """f(x, v) = a x: the window's Picard error scales with the state."""
+    return Nonlinearity(eval=lambda x, v: a * x, eval_batch=lambda X, V: a * X,
+                        lipschitz=lambda r: abs(a), growth_sigma=KinfFunction.identity(),
+                        uniform_lipschitz=abs(a), label="linear")
+
+
+def test_picard_stop_is_relative_to_the_window_scale():
+    # a linear f makes every Picard difference scale with x0, so a window
+    # from 1e6 x0 needs exactly as many iterations as one from x0 when the
+    # stop is relative; an absolute 1e-10 would demand a 1e-16 relative fit
+    sg = DiagonalSemigroup(mu=np.array([-1.0, -2.0, -5.0]), omega=1.0)
+    sys = EvolutionSystem(sg, _linear_f(3, 0.8))
+    cfg = SolverConfig(substeps_per_window=32)
+    x0 = np.array([1.5, -0.7, 0.4])
+    p = PolySignal(np.zeros((1, 1)))
+    _, y, iters, _ = _picard_window_raw(sys, x0, p, 0.5, cfg)
+    _, y_big, iters_big, _ = _picard_window_raw(sys, 1e6 * x0, p, 0.5, cfg)
+    assert iters_big == iters
+    assert np.allclose(y_big, 1e6 * y, rtol=1e-12, atol=0.0)
+
+
+def _blocks_system(dense: bool, zero_block: bool):
+    """An arctan system whose input is one bounded block, or the same block
+    followed by a zero block that the solve feeds zeros."""
+    n = 4
+    f = arctan_saturation(n, gain=0.5)
+    sg = (DenseGenerator(np.diag([-1.0, -2.0, 0.3, -4.0]) + np.triu(np.full((n, n), 0.2), 1))
+          if dense else DiagonalSemigroup(mu=np.array([-1.0, -2.0, 0.3, -4.0]), omega=1.0))
+    B = InputOperator(np.array([[1.0], [-0.5], [0.25], [2.0]]), Bounded())
+    if not zero_block:
+        return EvolutionSystem(sg, f, B=B)
+    return EvolutionSystem(sg, f, B=(B, InputOperator(np.zeros((n, 1)), Bounded())))
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_one_block_is_bit_identical_through_the_block_path(dense):
+    # per-block certificate and per-block linear part: a second block that
+    # carries nothing adds exact zeros, so windows, diagnostics and samples
+    # equal the one-block solve bit for bit
+    one, two = _blocks_system(dense, False), _blocks_system(dense, True)
+    assert (one.input_channels, two.input_channels) == (1, 2)
+    assert two.input_columns == (slice(0, 1), slice(1, 2))
+    grid = np.array([0.0, 0.3, 0.7, 1.5])
+    vals = np.array([[0.8], [-1.2], [0.5]])
+    u1 = InputSignal(grid, vals)
+    u2 = InputSignal(grid, np.hstack([vals, np.zeros((3, 1))]))
+    x0 = SpectralState(np.array([0.6, -0.4, 0.9, 0.2]))
+    a = solve(one, x0, u1, 1.5, SolverConfig(substeps_per_window=16))
+    b = solve(two, x0, u2, 1.5, SolverConfig(substeps_per_window=16))
+    assert a.status.kind == b.status.kind == "completed"
+    assert np.array_equal(a.times, b.times) and np.array_equal(a.coeffs, b.coeffs)
+    assert [asdict(d) for d in a.diagnostics] == [asdict(d) for d in b.diagnostics]
+    tuple_one = EvolutionSystem(one.semigroup, one.f, B=(one.B,))
+    c = solve(tuple_one, x0, u1, 1.5, SolverConfig(substeps_per_window=16))
+    assert np.array_equal(a.coeffs, c.coeffs)
+
+
+def test_block_validation():
+    sg = heat_dirichlet_semigroup(4)
+    ok = InputOperator(np.ones(4), Bounded())
+    with pytest.raises(ValueError, match="at least one block"):
+        EvolutionSystem(sg, zero_nonlinearity(4), B=())
+    with pytest.raises(ValueError, match="mode count"):
+        EvolutionSystem(sg, zero_nonlinearity(4),
+                        B=(ok, InputOperator(np.ones(5), Bounded())))
+    with pytest.raises(ValueError, match="smooth_class"):
+        EvolutionSystem(sg, zero_nonlinearity(4), analytic_alpha=0.5,
+                        B=(ok, InputOperator(np.ones(4), QAdmissible(2.0))))
+    sys = EvolutionSystem(sg, zero_nonlinearity(4), analytic_alpha=0.5,
+                          B=(ok, InputOperator(np.ones(4), SmoothClass(0.2))))
+    assert sys.input_regularity_deficit and sys.input_channels == 2
+    assert len(sys.input_gain(0.1)) == 2
+
+
 def test_picard_window_returns_X_coordinates():
     sg = heat_dirichlet_semigroup(8)
     sys = EvolutionSystem(sg, zero_nonlinearity(8), analytic_alpha=0.25)
@@ -592,6 +673,30 @@ def test_solver_config_validation():
         SolverConfig(contraction_target=1.5)
     with pytest.raises(ValueError):
         SolverConfig(picard_tol=0.0)
+
+
+def _rowwise_csv(columns) -> str:
+    """Reference writer: one row at a time, each value's Python float repr."""
+    cols = [np.asarray(c, float) for c in columns]
+    cols = [c[:, None] if c.ndim == 1 else c for c in cols]
+    return "".join(",".join(repr(float(v)) for c in cols for v in c[i]) + "\n"
+                   for i in range(cols[0].shape[0]))
+
+
+@pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                                  _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 3])
+def test_block_csv_writer_matches_rowwise_repr(rows):
+    import io
+
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16, 1e-5,
+               np.finfo(float).max, -np.finfo(float).max, 0.1, -1.0 / 3.0]
+    rng = np.random.default_rng(rows)
+    pool = np.concatenate([special, rng.normal(size=16) * 10.0 ** rng.integers(-20, 20, 16)])
+    t = rng.choice(pool, size=rows)
+    block = rng.choice(pool, size=(rows, 5))
+    fh = io.StringIO()
+    _write_rows(fh, [t, block, np.arange(rows, dtype=float)])
+    assert fh.getvalue() == _rowwise_csv([t, block, np.arange(rows, dtype=float)])
 
 
 def test_export_determinism(tmp_path):
