@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -76,19 +77,16 @@ class DiagonalSemigroup:
             raise ValueError("eigenvalue list must be a nonempty vector")
         if not np.all(np.isfinite(mu)):
             raise ValueError("non-finite eigenvalues")
+        top = self.omega0
         if self.lam is None:
-            object.__setattr__(self, "lam", float(max(0.0, np.max(mu))))
+            object.__setattr__(self, "lam", max(0.0, top))
         if self.M < 1.0:
             raise ValueError("growth constant M must be >= 1")
         # |T(t)| = e^{max mu t}, which outgrows M e^{lam t} for any lam < max mu
-        if self.lam < np.max(mu):
-            raise ValueError(
-                f"lam={self.lam} lies below the growth bound {np.max(mu)}"
-            )
-        if self.omega <= np.max(mu):
-            raise ValueError(
-                f"omega={self.omega} must exceed the growth bound {np.max(mu)}"
-            )
+        if self.lam < top:
+            raise ValueError(f"lam={self.lam} lies below the growth bound {top}")
+        if self.omega <= top:
+            raise ValueError(f"omega={self.omega} must exceed the growth bound {top}")
         # smoothing constants are re-requested per bisection candidate
         object.__setattr__(self, "_sc_cache", {})
 
@@ -96,9 +94,9 @@ class DiagonalSemigroup:
     def n_modes(self) -> int:
         return self.mu.shape[0]
 
-    @property
+    @cached_property
     def omega0(self) -> float:
-        """Growth bound of the truncated generator."""
+        """Growth bound max mu_n, computed once (mu is read-only)."""
         return float(np.max(self.mu))
 
     def apply_T(self, t: float, coeffs: np.ndarray) -> np.ndarray:
@@ -236,8 +234,9 @@ class DenseGenerator:
     def n_modes(self) -> int:
         return self.A.shape[0]
 
-    @property
+    @cached_property
     def omega0(self) -> float:
+        """Spectral bound of A (A is read-only, so computed once)."""
         return float(np.max(np.linalg.eigvals(self.A).real))
 
     def _expm(self, t: float) -> np.ndarray:

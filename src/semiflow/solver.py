@@ -32,9 +32,9 @@ h and keeps them (see DenseGenerator.propagators).
 In analytic mode the iteration runs on y = (omega*I - A)^alpha x with the
 singular-kernel window certificate; a bounded-generator dense-matrix mode
 covers finite ODE systems with the same code path.  EvolutionSystem owns
-the working norm (X, or X_alpha in analytic mode) and the window constants
-c_t (nonlinear channel) and h_t (one per input block) every certificate
-reads.
+the working norm (X, or X_alpha in analytic mode) and hands out the window
+constants c_t (nonlinear channel) and h_t (one per input block) every
+certificate reads; both come from admissibility.window_constant.
 """
 
 from __future__ import annotations
@@ -57,9 +57,8 @@ from .admissibility import (
     SmoothClass,
     c_constant,
     outside_x_alpha,
-    upper_bound_h,
-    _bounded_h,
-    _h_inf_bound,
+    singular_kernel,
+    window_constant,
 )
 
 __all__ = [
@@ -294,39 +293,20 @@ class EvolutionSystem:
         return float(np.linalg.norm(self.weights * c))
 
     def gain(self, t: float) -> float:
-        """Window constant c_t of the nonlinear channel in the working norm.
-
-        X mode: the zero-class admissibility constant of B2.  Analytic mode:
-        C_alpha e^{kappa_+ t} t^{1-alpha}/(1-alpha), the singular-kernel
-        analogue for the identity B2.
-        """
-        sg = self.semigroup
+        """Window constant c_t of the nonlinear channel in the working norm:
+        the zero-class admissibility constant of B2 in X mode, the
+        singular-kernel bound of the identity B2 at order alpha in analytic
+        mode (admissibility.window_constant)."""
         if self.alpha == 0.0:
-            return c_constant(sg, self.B2, t)
-        kappa = sg.omega0 + 1.0
-        C = sg.smoothing_constant(self.alpha, kappa=kappa)
-        return (C * math.exp(max(kappa, 0.0) * t) * t ** (1.0 - self.alpha)
-                / (1.0 - self.alpha))
+            return c_constant(self.semigroup, self.B2, t)
+        return window_constant(self.semigroup, None, self.alpha, t)
 
     def input_gain(self, t: float) -> Tuple[float, ...]:
         """Window constants h_t of the input blocks, one per block: h_t of
         block B_i certifies the working norm of int_0^t T_{-1}(t-s) B_i v(s) ds
         for unit-sup v.  Empty without B."""
-        return tuple([self._block_gain(op, t) for op in self.input_blocks])
-
-    def _block_gain(self, B: InputOperator, t: float) -> float:
-        sg, alpha = self.semigroup, self.alpha
-        if t == 0.0:
-            return 0.0
-        if alpha == 0.0:
-            return _h_inf_bound(sg, B, t)
-        cls = B.declared_class
-        if isinstance(cls, Bounded):
-            return B.norm() * self.gain(t)
-        if isinstance(cls, SmoothClass) and cls.alpha > alpha:
-            return upper_bound_h(sg, B, alpha, t)
-        # truncation-level fallback: (omega*I - A)^alpha B is bounded on N modes
-        return _bounded_h(sg, B.weighted_norm(sg, alpha), t)
+        return tuple([window_constant(self.semigroup, op, self.alpha, t)
+                      for op in self.input_blocks])
 
 
 @dataclass(frozen=True)
@@ -654,9 +634,11 @@ def picard_window(sys: EvolutionSystem, x0: SpectralState,
 # the window-chaining driver
 
 
-def _solve_loop(sys: EvolutionSystem, x0: SpectralState,
-                u: Optional[DrivingSignal], t_end: float, cfg: SolverConfig,
-                checkpoint_times: Optional[Sequence[float]] = None) -> Trajectory:
+def solve(sys: EvolutionSystem, x0: SpectralState, u: Optional[DrivingSignal],
+          t_end: float, cfg: Optional[SolverConfig] = None,
+          checkpoint_times: Optional[Sequence[float]] = None) -> Trajectory:
+    """March the mild solution to t_end (or to blow-up / failure)."""
+    cfg = cfg or SolverConfig()
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     if u is None:
@@ -760,19 +742,13 @@ def _solve_loop(sys: EvolutionSystem, x0: SpectralState,
     )
 
 
-def solve(sys: EvolutionSystem, x0: SpectralState, u: Optional[DrivingSignal],
-          t_end: float, cfg: Optional[SolverConfig] = None,
-          checkpoint_times: Optional[Sequence[float]] = None) -> Trajectory:
-    """March the mild solution to t_end (or to blow-up / failure)."""
-    return _solve_loop(sys, x0, u, t_end, cfg or SolverConfig(), checkpoint_times)
-
-
 def solve_analytic(sys: EvolutionSystem, x0: SpectralState,
                    u: Optional[DrivingSignal], t_end: float,
                    cfg: Optional[SolverConfig] = None,
                    checkpoint_times: Optional[Sequence[float]] = None) -> Trajectory:
-    """Fractional-space solve; with order 0 or none this is exactly solve()."""
-    return _solve_loop(sys, x0, u, t_end, cfg or SolverConfig(), checkpoint_times)
+    """Exactly solve().  The name stays because perfbench/layer_trace.py
+    lists it; a call, not an alias, so the tracer does not wrap solve twice."""
+    return solve(sys, x0, u, t_end, cfg, checkpoint_times)
 
 
 # ---------------------------------------------------------------------------
@@ -836,14 +812,13 @@ def global_bound(sys: EvolutionSystem, x0_norm: float, u_norm: float,
             b = 2.0 * (growth * b + h_t1 * u_norm + c_t1 * sigma_u)
         return b
 
-    kappa = sg.omega0 + 1.0
-    C = sg.smoothing_constant(alpha, kappa=kappa)
+    C, kappa_plus = singular_kernel(sg, alpha)
     a_const = (
         sg.M * math.exp(max(sg.lam, 0.0) * t) * x0_norm
         + sum(sys.input_gain(t)) * u_norm
         + sys.gain(t) * sigma_u
     )
-    b_kernel = L * C * math.exp(max(kappa, 0.0) * t)
+    b_kernel = L * C * math.exp(kappa_plus * t)
     z = b_kernel * scipy.special.gamma(1.0 - alpha) * t ** (1.0 - alpha)
     ml = _mittag_leffler(1.0 - alpha, z)
     return a_const * ml if a_const > 0.0 else 0.0  # not 0 * inf = nan

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from semiflow import (
     AdmissibilityEstimate,
     Bounded,
+    DenseGenerator,
     DiagonalSemigroup,
+    EvolutionSystem,
     InputOperator,
     InputSignal,
     QAdmissible,
@@ -17,6 +19,7 @@ from semiflow import (
     heat_dirichlet_semigroup,
     measure_h,
     upper_bound_h,
+    zero_nonlinearity,
 )
 from semiflow.admissibility import ladder_divergence_ratio
 
@@ -112,6 +115,13 @@ def test_c_constant_closed_forms():
     assert c_constant(flat, None, 0.3) == pytest.approx(0.3, rel=1e-13)
 
 
+def test_c_constant_dense_generator_takes_the_truncation_bound():
+    # a bounded generator may be flagged analytic, but the smoothing
+    # constants are diagonal-only: c_t is M t at lam = 0
+    dense = DenseGenerator(np.array([[-1.0, 0.5], [0.0, -2.0]]), analytic=True)
+    assert c_constant(dense, None, 0.1) == 0.1
+
+
 def test_c_constant_refuses_bare_q_admissibility():
     sys = heat_dirichlet_semigroup(4)
     B2 = InputOperator(np.ones(4), QAdmissible(2.0))
@@ -122,10 +132,15 @@ def test_c_constant_refuses_bare_q_admissibility():
 def test_c_constant_smooth_class_scales_like_t_alpha():
     sys = heat_dirichlet_semigroup(32)
     B2 = boundary_like_operator(32, alpha=0.2)
-    c1 = c_constant(sys, B2, 0.01)
-    c2 = c_constant(sys, B2, 0.02)
+    u1 = upper_bound_h(sys, B2, 0.0, 0.01)
+    u2 = upper_bound_h(sys, B2, 0.0, 0.02)
     # kappa = omega0 + 1 = 0 for the heat family, so the ratio is exactly 2^alpha
-    assert c2 / c1 == pytest.approx(2.0 ** 0.2, rel=1e-12)
+    assert u2 / u1 == pytest.approx(2.0 ** 0.2, rel=1e-12)
+    # c_t is the smaller of the truncation bound |B2| M t phi1(lam t) (M = 1,
+    # lam = 0) and the smoothing bound; the first is the smaller here
+    for t, u in ((0.01, u1), (0.02, u2)):
+        assert B2.norm() * t < u
+        assert c_constant(sys, B2, t) == min(B2.norm() * t, u)
 
 
 def test_upper_bound_h_guards():
@@ -193,6 +208,16 @@ def test_operator_norms():
     assert B.m == 2 and B.n_modes == 3
 
 
+def test_weighted_norm_cache_follows_the_semigroup():
+    # semigroups built and dropped in turn may share an address; a cache
+    # keyed by that address answered with an earlier semigroup's norm
+    B = InputOperator(np.ones(4), SmoothClass(0.5))
+    for k in range(200):
+        sys = DiagonalSemigroup(mu=-np.arange(1.0, 5.0) ** 2, omega=1.0 + k, analytic=True)
+        w = sys.frac_weights(0.5)[:, None]
+        assert B.weighted_norm(sys, 0.5) == float(np.linalg.norm(w * B.coeffs, 2))
+
+
 def test_operator_class_validation():
     with pytest.raises(ValueError):
         QAdmissible(0.5)
@@ -227,3 +252,62 @@ def test_measure_h_reports_upper_as_computed():
     assert lower == pytest.approx(np.e - 1.0, rel=1e-12)
     assert upper == 1.0
 
+
+@pytest.mark.parametrize("shift", [4.0, 9.0, 30.0])
+@pytest.mark.parametrize("a", [0.2, 0.6, 0.9])
+def test_smoothing_bound_sound_below_zero_kappa(shift, a):
+    # mu = -n^2 - shift gives kappa = omega0 + 1 = -shift < 0; the kernel
+    # integral int_0^t s^-beta e^{kappa s} ds needs e^{kappa_+ t}, not the
+    # e^{kappa t} that decays below the exact response
+    n = np.arange(1, 33, dtype=float)
+    sg = DiagonalSemigroup(mu=-(n ** 2) - shift, omega=1.0, lam=0.0, analytic=True)
+    B = InputOperator(n ** (0.5 - a) * np.sqrt(2.0 / np.pi), SmoothClass(a))
+    f = zero_nonlinearity(32)
+    systems = {0.0: EvolutionSystem(sg, f, B=B),
+               0.1: EvolutionSystem(sg, f, B=B, analytic_alpha=0.1)}
+    for d, sys_d in systems.items():
+        for t in np.logspace(-4.0, 0.0, 13):
+            # the response to u = 1, per mode b_n (1 - e^{mu_n t}) / (-mu_n)
+            resp = B.coeffs[:, 0] * -np.expm1(sg.mu * t) / -sg.mu
+            exact = float(np.linalg.norm(sg.frac_weights(d) * resp))
+            assert exact <= upper_bound_h(sg, B, d, float(t))
+            assert exact <= sys_d.input_gain(float(t))[0]
+
+
+def _probe_by_probe(sys, B, t, q, k_cells):
+    """measure_h's lower bound from one InputSignal per probe through convolve."""
+    best = 0.0
+    if q == np.inf:
+        grid = np.linspace(0.0, t, k_cells + 1)
+        for ch in range(B.m):
+            for mask in range(2 ** k_cells):
+                values = np.zeros((k_cells, B.m))
+                values[:, ch] = [1.0 if mask >> i & 1 else -1.0 for i in range(k_cells)]
+                u = InputSignal(grid, values)
+                best = max(best, float(np.linalg.norm(convolve(sys, B, u, t))))
+        return best
+    for j in range(14):
+        width = t * 2.0 ** (-j)
+        for start in (0.0, t - width, (t - width) / 2.0):
+            a = min(max(start, 0.0), t - width)
+            pts = sorted({0.0, a, a + width, t})
+            for ch in range(B.m):
+                values = np.zeros((len(pts) - 1, B.m))
+                values[pts.index(a), ch] = 1.0 / np.sqrt(width)
+                u = InputSignal(np.array(pts), values)
+                best = max(best, float(np.linalg.norm(convolve(sys, B, u, t))))
+    return best
+
+
+@pytest.mark.parametrize("q", [np.inf, 2.0])
+def test_measure_h_matches_probe_by_probe_reference(q):
+    sys = heat_dirichlet_semigroup(8)
+    B = InputOperator(np.array([[1.0, -0.5], [-2.0, 0.3], [1.5, 1.0], [-0.7, -2.0],
+                                [0.4, 0.9], [-1.1, 0.2], [2.2, -1.3], [-0.6, 0.8]]),
+                      Bounded())
+    f = zero_nonlinearity(8)
+    for t in (0.05, 0.3, 1.0):
+        lower, upper = measure_h(sys, B, t, q=q, k_cells=4)
+        assert lower == pytest.approx(_probe_by_probe(sys, B, t, q, 4), rel=1e-14)
+        if q == np.inf:
+            assert upper == EvolutionSystem(sys, f, B=B).input_gain(t)[0]
