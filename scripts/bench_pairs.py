@@ -1,0 +1,180 @@
+"""Alternating paired benchmark runs of a parent checkout and this tree.
+
+    python3 scripts/bench_pairs.py PARENT_DIR --workload burgers_scenario \\
+        --pairs 10 --seed0 301 --out BENCH.json
+
+Pair k runs the benchmark command of BENCHMARK.json (perfbench/run.py)
+once in PARENT_DIR and once in this tree, both with seed seed0 + k; the
+parent goes first in even pairs and second in odd ones, so a drift of the
+machine's speed does not favour one side.  Each run's end-to-end metrics,
+its correct/attempted/failed tallies and its whole wall time (set-up
+repeats, probes and checks included) are recorded.
+
+The summary gives, for every end-to-end metric of BENCHMARK.json, both
+sides' median and quartiles, the change of the median in the metric's
+better direction, the parent's interquartile range, and the pairs the
+change won.  --workload may be repeated; --out is rewritten after each
+workload, so an interrupted campaign keeps the workloads it finished.
+"""
+
+import argparse
+import importlib.util
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def _perfbench_run():
+    """perfbench/run.py as a module (it imports layer_trace from its folder;
+    loading it pins the BLAS thread variables to 1, as every run does)."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# (q1, median, q3): the benchmark's own function, so both summaries agree
+quartiles = _perfbench_run().quartiles
+
+
+def summarize(records, end_to_end):
+    """Summary of one workload's run records.
+
+    records: dicts with pair, side ("parent" or "change"), wall_s, correct,
+    attempted, failed and metrics (name -> value).  end_to_end: the
+    BENCHMARK.json entries (name, better, bound).  A pair counts only when
+    both of its runs report the metric.
+    """
+    by_pair = {}
+    for r in records:
+        by_pair.setdefault(r["pair"], {})[r["side"]] = r
+    pairs = [p for _, p in sorted(by_pair.items()) if set(p) == set(SIDES)]
+    out = {
+        "pairs": len(pairs),
+        "all_correct": all(r["correct"] for r in records),
+        "failed": {s: sum(r["failed"] for r in records if r["side"] == s) for s in SIDES},
+        "attempted": {s: sum(r["attempted"] for r in records if r["side"] == s)
+                      for s in SIDES},
+        "wall_s": {s: [r["wall_s"] for r in records if r["side"] == s] for s in SIDES},
+        "metrics": {},
+    }
+    for entry in end_to_end:
+        name, sign = entry["name"], 1.0 if entry["better"] == "higher" else -1.0
+        both = [(p["parent"]["metrics"][name], p["change"]["metrics"][name])
+                for p in pairs if name in p["parent"]["metrics"]
+                and name in p["change"]["metrics"]]
+        if not both:
+            continue
+        sides = {s: quartiles([v[i] for v in both]) for i, s in enumerate(SIDES)}
+        q1, med, q3 = sides["parent"]
+        gain = sign * (sides["change"][1] - med)
+        out["metrics"][name] = {
+            "better": entry["better"],
+            **{s: {"q1": q[0], "median": q[1], "q3": q[2]} for s, q in sides.items()},
+            "gain": gain,
+            "gain_rel": gain / med if med else float("nan"),
+            "parent_iqr": q3 - q1,
+            "wins": sum(sign * (c - p) > 0.0 for p, c in both),
+            "bound": entry.get("bound"),
+        }
+    return out
+
+
+def format_summary(workload, summary):
+    """Printable lines of one workload's summary."""
+    lines = [f"{workload}: {summary['pairs']} pairs, all correct: "
+             f"{summary['all_correct']}, failed parent/change "
+             f"{summary['failed']['parent']}/{summary['failed']['change']}"]
+    for name, m in summary["metrics"].items():
+        p, c = m["parent"], m["change"]
+        lines.append(
+            f"  {name} ({m['better']} is better): parent {p['median']:.4g} "
+            f"[{p['q1']:.4g}, {p['q3']:.4g}], change {c['median']:.4g} "
+            f"[{c['q1']:.4g}, {c['q3']:.4g}], gain {m['gain']:+.4g} "
+            f"({100.0 * m['gain_rel']:+.1f}%), parent IQR {m['parent_iqr']:.4g}, "
+            f"wins {m['wins']}/{summary['pairs']}")
+    for side in SIDES:
+        walls = " ".join(f"{w:.1f}" for w in summary["wall_s"][side])
+        lines.append(f"  whole-run wall s, {side}: {walls}")
+    return lines
+
+
+def run_once(tree, bench, workload, seed):
+    """One run of bench's command in tree, for bench's run_seconds: its last
+    JSON line plus the wall time."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    start = time.perf_counter()
+    argv = ["--workload", workload, "--seed", str(seed),
+            "--seconds", str(bench["run_seconds"])]
+    done = subprocess.run(bench["command"] + argv, cwd=tree, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        sys.stderr.write(done.stderr)
+        raise RuntimeError(f"benchmark run in {tree} exited {done.returncode}")
+    result = json.loads(lines[-1])
+    return {"wall_s": wall, "correct": result["correct"],
+            "attempted": result["attempted"], "failed": result["failed"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def describe(tree):
+    """git description of a checkout, or None where it has no repository."""
+    try:
+        done = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=tree,
+                              capture_output=True, text=True)
+    except OSError:
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent", type=Path, help="checkout of the parent commit")
+    p.add_argument("--workload", action="append", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed0", type=int, default=1)
+    p.add_argument("--out", type=Path, required=True)
+    args = p.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    trees = {"parent": args.parent.resolve(), "change": ROOT}
+    workloads = {}
+    report = {"parent": describe(trees["parent"]), "change": describe(ROOT),
+              "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
+                          "python": platform.python_version()},
+              "workloads": workloads}
+    for workload in args.workload:
+        records = []
+        for k in range(args.pairs):
+            seed = args.seed0 + k
+            order = SIDES if k % 2 == 0 else SIDES[::-1]
+            for side in order:
+                rec = run_once(trees[side], bench, workload, seed)
+                rec.update(pair=k, seed=seed, side=side, first=side == order[0])
+                records.append(rec)
+                print(f"{workload} pair {k} seed {seed} {side}: "
+                      f"wall {rec['wall_s']:.1f} s, correct {rec['correct']}, "
+                      f"failed {rec['failed']}, " + ", ".join(
+                          f"{n} {v:.4g}" for n, v in rec["metrics"].items()),
+                      flush=True)
+        summary = summarize(records, bench["end_to_end"])
+        workloads[workload] = {"seconds": bench["run_seconds"], "summary": summary,
+                               "runs": records}
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+        print("\n".join(format_summary(workload, summary)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,7 +24,6 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.fft
 
 from .core import InputSignal, Nonlinearity, KinfFunction, SpectralState, stack_channels
 from .semigroup import heat_dirichlet_semigroup
@@ -48,6 +47,13 @@ class SineBasis:
     M >= 2N resolves a band-2N function without aliasing, so the discrete
     analysis of a product of two band-N factors equals its true L^2
     projection; the default adds one point of headroom.
+
+    Each transform is one product with a constant matrix: scale [sin(n z_i)
+    | n cos(n z_i)], (N, 2M), gives values and slope, and scale dz sin(z_i n),
+    (M, N), the analysis; 24 N M bytes, 12.6 MB at N = 512.  Single-thread
+    on a 2-vCPU Xeon guest, an F_batch of 65 rows runs 4-6x faster than
+    through complex FFTs up to N = 256; at N = 512 the two tie on 65 rows
+    (5.8 ms) and the products lose on one row (0.64 against 0.15 ms).
     """
 
     def __init__(self, n_modes: int, n_grid: Optional[int] = None):
@@ -57,35 +63,29 @@ class SineBasis:
         self.M = 2 * self.N + 1 if n_grid is None else int(n_grid)
         if self.M < 2 * self.N:
             raise ValueError("grid too coarse: products of band-limited states alias")
-        self.L = 2 * (self.M + 1)
         self.z = np.arange(1, self.M + 1) * (np.pi / (self.M + 1))
         self.scale = math.sqrt(2.0 / math.pi)
-        # quadrature weight of the interior trapezoid/DST grid
+        # quadrature weight of the interior trapezoid grid
         self.dz = np.pi / (self.M + 1)
-
-    def _synth_complex(self, c: np.ndarray) -> np.ndarray:
-        """sum_n c_n e^{i n z} at the grid points, batched over lead axes."""
-        spec = np.zeros(c.shape[:-1] + (self.L,), dtype=complex)
-        spec[..., 1 : self.N + 1] = c
-        w = np.fft.ifft(spec, axis=-1) * self.L
-        return w[..., 1 : self.M + 1]
+        n = np.arange(1, self.N + 1, dtype=float)
+        nz = np.outer(n, self.z)
+        self._synth = np.hstack([np.sin(nz), n[:, None] * np.cos(nz)]) * self.scale
+        self._analysis = np.sin(nz.T) * (self.scale * self.dz)
+        for m in (self._synth, self._analysis):
+            m.setflags(write=False)
 
     def values(self, a: np.ndarray) -> np.ndarray:
         """Grid values of x = sum a_n sqrt(2/pi) sin(n z); a is (..., N)."""
-        return np.imag(self._synth_complex(np.asarray(a, float) * self.scale))
+        return np.asarray(a, float) @ self._synth[:, : self.M]
 
     def values_and_slope(self, a: np.ndarray):
         """Grid values of x and of x' (exact per-mode differentiation)."""
-        c = np.asarray(a, float) * self.scale
-        x = np.imag(self._synth_complex(c))
-        n = np.arange(1, self.N + 1)
-        dx = np.real(self._synth_complex(c * n))
-        return x, dx
+        both = np.asarray(a, float) @ self._synth
+        return both[..., : self.M], both[..., self.M :]
 
     def analyze(self, v: np.ndarray) -> np.ndarray:
         """Project grid values onto the first N modes (exact for band <= M)."""
-        coeff = scipy.fft.dst(np.asarray(v, float), type=1, axis=-1)
-        return coeff[..., : self.N] / (self.M + 1) / self.scale
+        return np.asarray(v, float) @ self._analysis
 
     def grid_norm(self, v: np.ndarray) -> float:
         """Discrete L^2 norm; an isometry with the X-norm for band <= M."""
@@ -120,9 +120,6 @@ class BurgersSystem:
         a = np.asarray(a, float)
         return float(np.sqrt(np.sum(self._mode_sq * a * a, axis=-1)))
 
-    def _h1_rows(self, a: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.sum(self._mode_sq * a * a, axis=-1))
-
     # -- the nonlinearity --------------------------------------------------
 
     def F_batch(self, a: np.ndarray) -> np.ndarray:
@@ -130,11 +127,6 @@ class BurgersSystem:
         x, dx = self.basis.values_and_slope(a)
         w = -x * dx + self.local.fn(self.basis.z, x)
         return self.basis.analyze(w)
-
-    def nonlinearity_F(self, x: SpectralState) -> SpectralState:
-        if x.n_modes != self.N:
-            raise ValueError("mode count mismatch")
-        return SpectralState(self.F_batch(x.coeffs))
 
     def nonlinearity(self) -> Nonlinearity:
         """Certificate wrapper around F for the mild-solution engine.

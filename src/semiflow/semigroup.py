@@ -87,8 +87,9 @@ class DiagonalSemigroup:
             raise ValueError(f"lam={self.lam} lies below the growth bound {top}")
         if self.omega <= top:
             raise ValueError(f"omega={self.omega} must exceed the growth bound {top}")
-        # smoothing constants are re-requested per bisection candidate
+        # smoothing constants and weights are re-requested per candidate step
         object.__setattr__(self, "_sc_cache", {})
+        object.__setattr__(self, "_fw_cache", {})
 
     @property
     def n_modes(self) -> int:
@@ -106,13 +107,18 @@ class DiagonalSemigroup:
         return np.exp(self.mu * t) * np.asarray(coeffs, float)
 
     def frac_weights(self, alpha: float) -> np.ndarray:
-        """Mode weights (omega - mu_n)^alpha for alpha in [-1, 1]."""
+        """Mode weights (omega - mu_n)^alpha, alpha in [-1, 1]; memoised, read-only."""
         if not -1.0 <= alpha <= 1.0:
             raise ValueError("fractional order limited to [-1, 1]")
-        base = self.omega - self.mu
-        if np.any(base <= 0.0):
-            raise ValueError("omega below the growth bound of some mode")
-        return base ** alpha
+        w = self._fw_cache.get(alpha)
+        if w is None:
+            base = self.omega - self.mu
+            if np.any(base <= 0.0):
+                raise ValueError("omega below the growth bound of some mode")
+            w = base ** alpha
+            w.setflags(write=False)
+            self._fw_cache[alpha] = w
+        return w
 
     def frac_T_norm(self, alpha: float, t: float) -> float:
         """Operator norm |(omega*I - A)^alpha T(t)| = max_n (omega-mu_n)^alpha e^{mu_n t}.

@@ -291,3 +291,41 @@ def test_single_mode_F_excites_double_mode_only(amp, mode):
     keep = np.zeros(16, bool)
     keep[2 * mode - 1] = True
     assert np.max(np.abs(Fa[~keep])) <= 1e-10 * max(1.0, amp * amp)
+
+
+@pytest.mark.parametrize("N", [1, 7, 32, 128])
+@pytest.mark.parametrize("grid", ["default", "2N", 256])
+def test_basis_transforms_match_trig_sums(N, grid):
+    # each transform against its defining sum, written point by point
+    n_grid = {"default": None, "2N": 2 * N}.get(grid, grid)
+    basis = SineBasis(N, n_grid)
+    scale, dz = math.sqrt(2.0 / math.pi), math.pi / (basis.M + 1)
+    z = np.arange(1, basis.M + 1) * (math.pi / (basis.M + 1))
+    n = np.arange(1, N + 1)
+    rng = np.random.default_rng(N)
+    a = rng.normal(size=(3, N))
+    v = rng.normal(size=(3, basis.M))
+    x_want = np.array([[scale * np.sum(row * np.sin(n * zi)) for zi in z] for row in a])
+    dx_want = np.array([[scale * np.sum(row * n * np.cos(n * zi)) for zi in z]
+                        for row in a])
+    a_want = np.array([[scale * dz * np.sum(row * np.sin(z * k)) for k in n]
+                       for row in v])
+    x, dx = basis.values_and_slope(a)
+    got_want = [(basis.values(a), x_want), (x, x_want), (dx, dx_want),
+                (basis.values(a[0]), x_want[0]), (basis.analyze(v), a_want),
+                (basis.analyze(v[0]), a_want[0])]
+    for got, want in got_want:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_F_batch_rows_match_single_calls():
+    N = 32
+    bs = BurgersSystem(N, local=make_local_term("sine_tanh", {"amplitude": 0.3}))
+    rng = np.random.default_rng(11)
+    batch = rng.normal(size=(65, N)) / np.arange(1.0, N + 1.0)
+    got = bs.F_batch(batch)
+    want = np.array([bs.F_batch(row) for row in batch])
+    assert got.shape == (65, N)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+

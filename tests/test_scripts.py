@@ -1,6 +1,7 @@
 """Smoke tests of the scripts/ entry points: each runs in a subprocess on a
 small problem, must exit 0, and must end on its summary line."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -31,3 +32,45 @@ def test_script_runs(argv, last):
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip().splitlines()[-1].startswith(last)
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_on_canned_records():
+    # four pairs; the change is faster in three of them and slower in one
+    rate = {"parent": [4.0, 4.2, 4.1, 3.9], "change": [5.0, 5.6, 4.0, 5.2]}
+    records = [{"pair": k, "side": side, "wall_s": 30.0 + k, "correct": True,
+                "attempted": 10, "failed": int(side == "change" and k == 3),
+                "metrics": {"tasks_per_s": rate[side][k], "setup_s": 0.5}}
+               for k in range(4) for side in ("parent", "change")]
+    # an unpaired run counts in the tallies but in no metric
+    records.append(dict(records[0], pair=9, metrics={"tasks_per_s": 99.0}))
+    end_to_end = [{"name": "tasks_per_s", "better": "higher", "bound": 0.25},
+                  {"name": "setup_s", "better": "lower", "bound": 0.25},
+                  {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+    bp = _bench_pairs()
+    s = bp.summarize(records, end_to_end)
+    assert s["pairs"] == 4
+    assert s["all_correct"]
+    assert s["failed"] == {"parent": 0, "change": 1}
+    assert s["attempted"] == {"parent": 50, "change": 40}
+    assert s["wall_s"]["change"] == [30.0, 31.0, 32.0, 33.0]
+    assert set(s["metrics"]) == {"tasks_per_s", "setup_s"}
+    m = s["metrics"]["tasks_per_s"]
+    q1, med, q3 = bp.quartiles(rate["parent"])
+    assert m["parent"] == {"q1": q1, "median": med, "q3": q3}
+    assert m["change"]["median"] == pytest.approx(5.1)
+    assert m["gain"] == pytest.approx(5.1 - 4.05)
+    assert m["gain_rel"] == pytest.approx((5.1 - 4.05) / 4.05)
+    assert m["parent_iqr"] == pytest.approx(q3 - q1)
+    assert m["wins"] == 3
+    tie = s["metrics"]["setup_s"]
+    assert tie["gain"] == 0.0 and tie["wins"] == 0 and tie["better"] == "lower"
+    lines = bp.format_summary("w", s)
+    assert lines[0].startswith("w: 4 pairs, all correct: True")
+    assert any("wins 3/4" in line for line in lines)

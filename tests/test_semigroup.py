@@ -50,6 +50,14 @@ def test_heat_family_weights():
     assert sg.analytic and sg.omega == 1.0 and sg.lam == 0.0
     assert np.allclose(sg.frac_weights(0.5), (1.0 + n ** 2) ** 0.5)
     assert np.allclose(sg.frac_weights(-1.0), 1.0 / (1.0 + n ** 2))
+    # memoised per order: the same read-only array, bit-equal to a fresh power
+    for alpha in (0.5, -1.0, 1.0, 0.2, 0.0):
+        w = sg.frac_weights(alpha)
+        assert np.array_equal(w, (sg.omega - sg.mu) ** alpha)
+        assert sg.frac_weights(alpha) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
 
 def test_frac_weights_range_check():
