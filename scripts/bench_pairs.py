@@ -8,20 +8,25 @@ once in PARENT_DIR and once in this tree, both with seed seed0 + k; the
 parent goes first in even pairs and second in odd ones, so a drift of the
 machine's speed does not favour one side.  Each run's end-to-end metrics,
 its correct/attempted/failed tallies and its whole wall time (set-up
-repeats, probes and checks included) are recorded.
+repeats, probes and checks included) are recorded.  Each tree is named by
+git describe and, when it has uncommitted changes, by the sha256 of
+git diff HEAD, so a dirty measured tree can be told apart from another.
 
 The summary gives, for every end-to-end metric of BENCHMARK.json, both
 sides' median and quartiles, the change of the median in the metric's
-better direction, the parent's interquartile range, and the pairs the
-change won.  --workload may be repeated; --out is rewritten after each
-workload, so an interrupted campaign keeps the workloads it finished.
+better direction, the parent's interquartile range and the pairs the
+change won; it also gives each side's median whole-run wall time.
+--workload may be repeated; --out is rewritten after each workload, so an
+interrupted campaign keeps the workloads it finished.
 """
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -58,13 +63,16 @@ def summarize(records, end_to_end):
     for r in records:
         by_pair.setdefault(r["pair"], {})[r["side"]] = r
     pairs = [p for _, p in sorted(by_pair.items()) if set(p) == set(SIDES)]
+    walls = {s: [r["wall_s"] for r in records if r["side"] == s] for s in SIDES}
     out = {
         "pairs": len(pairs),
         "all_correct": all(r["correct"] for r in records),
         "failed": {s: sum(r["failed"] for r in records if r["side"] == s) for s in SIDES},
         "attempted": {s: sum(r["attempted"] for r in records if r["side"] == s)
                       for s in SIDES},
-        "wall_s": {s: [r["wall_s"] for r in records if r["side"] == s] for s in SIDES},
+        "wall_s": walls,
+        "wall_median_s": {s: statistics.median(w) if w else None
+                          for s, w in walls.items()},
         "metrics": {},
     }
     for entry in end_to_end:
@@ -104,7 +112,9 @@ def format_summary(workload, summary):
             f"wins {m['wins']}/{summary['pairs']}")
     for side in SIDES:
         walls = " ".join(f"{w:.1f}" for w in summary["wall_s"][side])
-        lines.append(f"  whole-run wall s, {side}: {walls}")
+        median = summary["wall_median_s"][side]
+        lines.append(f"  whole-run wall s, {side}: {walls}"
+                     + (f" (median {median:.1f})" if median is not None else ""))
     return lines
 
 
@@ -128,14 +138,25 @@ def run_once(tree, bench, workload, seed):
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def describe(tree):
-    """git description of a checkout, or None where it has no repository."""
+def _git(tree, *argv):
+    """stdout of git argv in tree, or None where it has no repository."""
     try:
-        done = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=tree,
-                              capture_output=True, text=True)
+        done = subprocess.run(["git", *argv], cwd=tree, capture_output=True)
     except OSError:
         return None
-    return done.stdout.strip() if done.returncode == 0 else None
+    return done.stdout if done.returncode == 0 else None
+
+
+def describe(tree):
+    """{"describe": git describe --always --dirty, "diff_sha256": sha256 of
+    git diff HEAD for a dirty tree, else None}; None without a repository."""
+    name = _git(tree, "describe", "--always", "--dirty")
+    if name is None:
+        return None
+    name = name.decode().strip()
+    diff = _git(tree, "diff", "HEAD") if name.endswith("-dirty") else None
+    return {"describe": name,
+            "diff_sha256": hashlib.sha256(diff).hexdigest() if diff is not None else None}
 
 
 def main(argv=None):

@@ -1,6 +1,7 @@
 """Smoke tests of the scripts/ entry points: each runs in a subprocess on a
 small problem, must exit 0, and must end on its summary line."""
 
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -60,6 +61,8 @@ def test_bench_pairs_summary_on_canned_records():
     assert s["failed"] == {"parent": 0, "change": 1}
     assert s["attempted"] == {"parent": 50, "change": 40}
     assert s["wall_s"]["change"] == [30.0, 31.0, 32.0, 33.0]
+    # the unpaired parent run (wall 30) is a whole run too
+    assert s["wall_median_s"] == {"parent": 31.0, "change": 31.5}
     assert set(s["metrics"]) == {"tasks_per_s", "setup_s"}
     m = s["metrics"]["tasks_per_s"]
     q1, med, q3 = bp.quartiles(rate["parent"])
@@ -74,3 +77,25 @@ def test_bench_pairs_summary_on_canned_records():
     lines = bp.format_summary("w", s)
     assert lines[0].startswith("w: 4 pairs, all correct: True")
     assert any("wins 3/4" in line for line in lines)
+    assert lines[-2] == "  whole-run wall s, parent: 30.0 31.0 32.0 33.0 30.0 (median 31.0)"
+    assert lines[-1] == "  whole-run wall s, change: 30.0 31.0 32.0 33.0 (median 31.5)"
+
+
+def test_bench_pairs_names_a_dirty_tree_by_its_diff(tmp_path):
+    def git(*argv):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                               *argv], cwd=tmp_path, check=True,
+                              capture_output=True).stdout
+
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "one")
+    bp = _bench_pairs()
+    clean = bp.describe(tmp_path)
+    assert clean["diff_sha256"] is None and not clean["describe"].endswith("-dirty")
+    (tmp_path / "a.txt").write_text("two\n")
+    dirty = bp.describe(tmp_path)
+    assert dirty["describe"] == clean["describe"] + "-dirty"
+    assert dirty["diff_sha256"] == hashlib.sha256(git("diff", "HEAD")).hexdigest()
+    assert bp.describe(tmp_path / "missing") is None

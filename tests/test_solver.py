@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,8 +36,10 @@ from semiflow import (
 from semiflow.core import KinfFunction, Nonlinearity
 from semiflow.nonlinearities import arctan_saturation, scalar_square
 from semiflow.semigroup import phi1, phi2
+import semiflow.solver as solver_module
 from semiflow.solver import (
     _CSV_BLOCK_ROWS,
+    _WINDOW_MEMO_ENTRIES,
     StepSelectionError,
     _mittag_leffler,
     _picard_window_raw,
@@ -266,6 +269,184 @@ def test_select_step_error_names_last_length_tried():
         select_step(sys, K=50.0, u_sup=0.0, cfg=cfg, start_state=np.array([50.0]))
     assert "down to 0.25 " in str(err.value)
     assert "0.125" not in str(err.value)
+
+
+def _scan_reference(sys, K, u_sup, cfg, x, cap, block_sups):
+    """The descending scan the warm-started search replaced: the first
+    candidate cap 2^-k, k = 0, 1, ..., that passes (a) and (b), on a fresh
+    copy of sys (no memoised constant); None when none does."""
+    fresh = EvolutionSystem(sys.semigroup, sys.f, B=sys.B, B2=sys.B2,
+                            analytic_alpha=sys.analytic_alpha)
+    delta = max(1.0, K)
+    K_prime = K + delta
+    L = sys.f.lipschitz(max(K_prime, u_sup))
+    rest = L * K_prime + sys.f.growth_sigma(u_sup) + sys.f.growth_c
+    for k in range(cfg.max_window_bisections + 1):
+        t = min(cfg.window_cap, cap) * 0.5 ** k
+        gain = fresh.gain(t)
+        inv = (sys.semigroup.sg_distance(t, x, sys.alpha)
+               + sum([h * s for h, s in zip(fresh.input_gain(t), block_sups)])
+               + gain * rest)
+        if gain * L <= cfg.contraction_target and inv <= delta:
+            return t
+    return None
+
+
+_PREVIOUS = st.one_of(st.none(), st.sampled_from(["above", "cap", 2.0 ** -30]),
+                      st.floats(2.0 ** -20, 1.0))
+
+
+def _previous(previous, cap):
+    return {"above": 2.0 * cap, "cap": cap}.get(previous, previous)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 16),
+       analytic=st.booleans(), previous=_PREVIOUS)
+def test_select_step_warm_start_matches_descending_scan(seed, n, analytic, previous):
+    # on a diagonal semigroup every certificate term grows with t, so the
+    # warm-started search must return exactly the scan's length, failures
+    # included
+    rng = np.random.default_rng(seed)
+    modes = np.arange(1.0, n + 1.0)
+    if analytic:
+        sg = DiagonalSemigroup(mu=-rng.uniform(0.2, 3.0) * modes ** 2, omega=1.0,
+                               analytic=True)
+        classes = [Bounded(), SmoothClass(0.6), SmoothClass(0.9)]
+        alpha = float(rng.choice([0.25, 0.5]))
+    else:
+        mu = rng.uniform(-n * n, 1.0, n)
+        sg = DiagonalSemigroup(mu=mu, omega=float(np.max(mu)) + 1.0,
+                               analytic=bool(rng.integers(2)))
+        classes = [Bounded(), SmoothClass(0.2), QAdmissible(2.0)]
+        alpha = None
+    blocks = tuple(InputOperator(rng.normal(size=(n, int(rng.integers(1, 3))))
+                                 / modes[:, None] ** rng.uniform(0.0, 1.0),
+                                 classes[int(rng.integers(len(classes)))])
+                   for _ in range(int(rng.integers(0, 3))))
+    f = (scalar_square(n) if rng.integers(2)
+         else arctan_saturation(n, gain=float(rng.uniform(0.1, 30.0))))
+    sys = EvolutionSystem(sg, f, B=blocks or None, analytic_alpha=alpha)
+    cfg = SolverConfig(max_window_bisections=int(rng.integers(2, 41)))
+    x = rng.normal(size=n) * 10.0 ** rng.uniform(-2.0, 1.5)
+    K = sys.working_norm(x) * rng.uniform(1.0, 2.0)
+    block_sups = [float(v) for v in rng.uniform(0.0, 5.0, len(blocks))]
+    u_sup = max(block_sups, default=0.0) * rng.uniform(1.0, 1.5)
+    cap = float(rng.choice([1.0, rng.uniform(1e-4, 1.0)]))
+    want = _scan_reference(sys, K, u_sup, cfg, x, cap, block_sups)
+    kwargs = dict(start_state=x, cap=cap, block_sups=block_sups,
+                  previous=_previous(previous, cap))
+    if want is None:
+        with pytest.raises(StepSelectionError, match="no certified window down to"):
+            select_step(sys, K, u_sup, cfg, **kwargs)
+    else:
+        assert select_step(sys, K, u_sup, cfg, **kwargs) == want
+
+
+def _props_dense_system():
+    # the 8-mode non-normal generator and 2-channel B of perfbench's props_dense
+    rng = np.random.default_rng(2211)
+    A = -np.diag(np.arange(1.0, 9.0)) + np.triu(rng.uniform(-1.5, 1.5, (8, 8)), 1)
+    Bc = rng.normal(size=(8, 2))
+    Bc /= np.linalg.norm(Bc, 2)
+    return EvolutionSystem(DenseGenerator(A), arctan_saturation(8, 0.4, 0.5),
+                           B=InputOperator(Bc, Bounded()))
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), previous=_PREVIOUS)
+def test_select_step_dense_warm_start_is_certified_and_not_longer(seed, previous):
+    # |(e^{At} - I) x| may oscillate in t: the search must still return a
+    # length passing both inequalities, and never a longer one than the scan
+    sys = _props_dense_system()
+    rng = np.random.default_rng(seed)
+    cfg = SolverConfig(substeps_per_window=16)
+    x = rng.normal(size=8) * 10.0 ** rng.uniform(-1.0, 1.5)
+    K = sys.working_norm(x)
+    u_sup = float(rng.uniform(0.0, 3.0))
+    cap = float(rng.choice([1.0, rng.uniform(1e-3, 1.0)]))
+    want = _scan_reference(sys, K, u_sup, cfg, x, cap, [u_sup])
+    t1 = select_step(sys, K, u_sup, cfg, start_state=x, cap=cap,
+                     previous=_previous(previous, cap))
+    assert want is not None and t1 <= want
+    delta = max(1.0, K)
+    L = sys.f.lipschitz(max(K + delta, u_sup))
+    c_t = _phi1_bound(sys.semigroup.lam, t1)
+    h_t = np.linalg.norm(sys.B.coeffs, 2) * c_t
+    assert c_t * L <= cfg.contraction_target
+    drift = np.linalg.norm(scipy.linalg.expm(sys.semigroup.A * t1) @ x - x)
+    rest = L * (K + delta) + sys.f.growth_sigma(u_sup) + sys.f.growth_c
+    assert drift + h_t * u_sup + c_t * rest <= delta * (1.0 + 1e-12)
+
+
+def test_window_constants_memo_is_exact_bounded_and_per_system():
+    sg = heat_dirichlet_semigroup(8)
+    n = np.arange(1.0, 9.0)
+    nl = zero_nonlinearity(8)
+    rough = InputOperator(n * np.sqrt(2 / np.pi), SmoothClass(0.2))
+    smooth = InputOperator(n ** -1.0, SmoothClass(0.8))
+    variants = [  # pairs differ only in B2, in B, or in alpha
+        dict(B=rough), dict(B=rough, B2=InputOperator(np.diag(2.0 / n), Bounded())),
+        dict(B=(rough, smooth)), dict(B=(smooth, rough)),
+        dict(B=smooth, analytic_alpha=0.25), dict(B=smooth, analytic_alpha=0.5),
+    ]
+    systems = [EvolutionSystem(sg, nl, **v) for v in variants]
+    ts = [0.5 ** k for k in range(12)] + [0.3, 0.3 * 0.5 ** 7]
+    for _ in range(2):  # the second pass reads the memo
+        for t in ts:
+            for sys, v in zip(systems, variants):
+                fresh = EvolutionSystem(sg, nl, **v)
+                assert sys.gain(t) == fresh.gain(t)
+                assert sys.input_gain(t) == fresh.input_gain(t)
+    # the pairs do differ, so a shared entry would have shown
+    t = 0.3
+    assert systems[0].gain(t) != systems[1].gain(t)
+    assert systems[2].input_gain(t) != systems[3].input_gain(t)
+    assert systems[4].gain(t) != systems[5].gain(t)
+    # the memo stays within its bound and stays exact after evicting
+    sys, fresh = systems[2], EvolutionSystem(sg, nl, **variants[2])
+    many = np.linspace(1e-3, 1.0, 3 * _WINDOW_MEMO_ENTRIES)
+    for t in many:
+        sys.gain(float(t)), sys.input_gain(float(t))
+        assert len(sys._window_memo) <= _WINDOW_MEMO_ENTRIES
+    for t in many[::97]:
+        assert sys.gain(float(t)) == fresh.gain(float(t))
+        assert sys.input_gain(float(t)) == fresh.input_gain(float(t))
+    # systems built in turn, each at a possibly reused address, never read
+    # another's constant
+    for scale in range(1, 60):
+        B2 = InputOperator(np.eye(8) * scale, Bounded())
+        assert EvolutionSystem(sg, nl, B2=B2).gain(0.25) == scale * 0.25
+
+
+def test_blowup_window_search_tests_about_two_lengths_per_window(monkeypatch):
+    # x' = -x + x^2 from 2.5 at 16 substeps: every window is bisected, and
+    # the descending scan tested 14.8 lengths per window
+    calls = {"gain": 0, "inside": False}
+    gain, select = EvolutionSystem.gain, solver_module.select_step
+
+    def counting_gain(self, t):
+        calls["gain"] += calls["inside"]
+        return gain(self, t)
+
+    def counting_select(*args, **kwargs):
+        calls["inside"] = True
+        try:
+            return select(*args, **kwargs)
+        finally:
+            calls["inside"] = False
+
+    monkeypatch.setattr(EvolutionSystem, "gain", counting_gain)
+    monkeypatch.setattr(solver_module, "select_step", counting_select)
+    sys = EvolutionSystem(DiagonalSemigroup(mu=np.array([-1.0]), omega=0.5),
+                          scalar_square(1))
+    traj = solve(sys, SpectralState([2.5]), None, 2.0,
+                 SolverConfig(substeps_per_window=16))
+    windows = len(traj.diagnostics)
+    assert traj.status.kind == "blowup"
+    assert windows == 146
+    assert sum(d.bisections for d in traj.diagnostics) == 2022
+    assert calls["gain"] <= 3 * windows
 
 
 def _phi1_bound(lam, t):
