@@ -105,12 +105,10 @@ class BoundaryControlSystem:
     label: str = ""
 
     def __post_init__(self):
-        self.lifting = np.atleast_2d(np.asarray(self.lifting, float))
-        if self.lifting.shape[0] == 1 and self.semigroup.n_modes > 1:
-            self.lifting = self.lifting.T
-        self.formal_ar = np.atleast_2d(np.asarray(self.formal_ar, float))
-        if self.formal_ar.shape[0] == 1 and self.semigroup.n_modes > 1:
-            self.formal_ar = self.formal_ar.T
+        def columns(a):  # a single row of N > 1 coefficients is one column
+            a = np.atleast_2d(np.asarray(a, float))
+            return a.T if a.shape[0] == 1 and self.semigroup.n_modes > 1 else a
+        self.lifting, self.formal_ar = columns(self.lifting), columns(self.formal_ar)
         if self.lifting.shape[0] != self.semigroup.n_modes:
             raise ValueError("lifting rows must match the mode count")
         if self.formal_ar.shape != self.lifting.shape:

@@ -380,21 +380,15 @@ def _build_semigroup(spec: dict, modes: Optional[int]):
             raise ScenarioError(f"unknown semigroup family {name!r}; have: {known}")
         n = modes or spec.get("n_modes", 64)
         return SEMIGROUP_FAMILIES[name](n, omega=spec.get("omega", 1.0))
-    if "mu" in spec:
-        mu = np.asarray(spec["mu"], float)
-        omega = spec.get("omega", float(np.max(mu)) + 1.0)
-        try:
-            return DiagonalSemigroup(
-                mu=mu, omega=omega, M=spec.get("M", 1.0),
-                lam=spec.get("lam"), analytic=spec.get("analytic", False),
-            )
-        except ValueError as e:
-            raise ScenarioError(f"semigroup: {e}") from e
     try:
-        return DenseGenerator(
-            A=np.asarray(spec["dense"], float),
-            M=spec.get("M", 1.0), lam=spec.get("lam"),
-        )
+        if "mu" in spec:
+            mu = np.asarray(spec["mu"], float)
+            omega = spec.get("omega", float(np.max(mu)) + 1.0)
+            return DiagonalSemigroup(
+                mu=mu, omega=omega, M=spec.get("M", 1.0), lam=spec.get("lam"),
+                analytic=spec.get("analytic", False))
+        return DenseGenerator(A=np.asarray(spec["dense"], float),
+                              M=spec.get("M", 1.0), lam=spec.get("lam"))
     except ValueError as e:
         raise ScenarioError(f"semigroup: {e}") from e
 

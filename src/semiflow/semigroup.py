@@ -8,13 +8,17 @@ operator, uniformly continuous semigroup) is provided for the finite ODE
 mode of the solver; it shares the (M, lambda) growth-certificate interface.
 Its exponentials are memoised per instance and per exact time, because the
 solver's window lengths repeat (dyadic fractions of the same caps).
+
+Both carry a solver window through one method, window(tau, x0, forcing);
+the dense mode takes polynomial inputs as the diagonal one does.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -30,10 +34,8 @@ __all__ = [
 def phi1(z: np.ndarray) -> np.ndarray:
     """(e^z - 1)/z with the z -> 0 limit, computed stably via expm1."""
     z = np.asarray(z, dtype=float)
-    out = np.ones_like(z)
     nz = z != 0.0
-    out = np.where(nz, np.expm1(np.where(nz, z, 1.0)) / np.where(nz, z, 1.0), 1.0)
-    return out
+    return np.where(nz, np.expm1(np.where(nz, z, 1.0)) / np.where(nz, z, 1.0), 1.0)
 
 
 def phi2(z: np.ndarray) -> np.ndarray:
@@ -48,6 +50,54 @@ def phi2(z: np.ndarray) -> np.ndarray:
     main = (np.expm1(zs) - zs) / zs ** 2
     taylor = 0.5 + z / 6.0 + z ** 2 / 24.0
     return np.where(small, taylor, main)
+
+
+def poly_exp_integral(mu: np.ndarray, t, k: int) -> np.ndarray:
+    """int_0^t e^{mu (t-s)} s^k ds per mode, exact; an array t broadcasts
+    against mu (t[:, None] gives one row per time).
+
+    k = 0 is t phi1(mu t).  For k > 0: series k! t^{k+1} sum_j (mu t)^j /
+    (j+k+1)! in the cancellation-prone small |mu t| regime, stable
+    recurrence from the k = 0 value otherwise.
+    """
+    mu = np.asarray(mu, float)
+    z = mu * t
+    rec = t * phi1(z)  # I_0
+    if k == 0:
+        return rec
+    small = np.abs(z) <= 0.5
+
+    term = np.full(z.shape, t ** (k + 1) / (k + 1))
+    acc = term.copy()
+    zs = np.where(small, z, 0.0)
+    for j in range(1, 30):
+        term = term * zs / (k + 1 + j)
+        acc += term
+
+    mu_safe = np.where(small, 1.0, mu)
+    for i in range(1, k + 1):
+        rec = (i * rec - t ** i) / mu_safe
+    return np.where(small, acc, rec)
+
+
+def _act(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M applied to the last axis of x: per-mode factors (diagonal mode)
+    or a matrix (dense mode)."""
+    return M * x if M.ndim == 1 else x @ M.T
+
+
+def _scan(c: np.ndarray, powers) -> np.ndarray:
+    """Solve c[j+1] = E c[j] + r_j in place, given c = [c0, r_0, ..., r_{S-1}]
+    along axis 0 and powers[k] = E^(2^k) for k < ceil(log2(S+1)).
+
+    Hillis-Steele doubling (Blelloch 1990): after the step with offset d
+    every row holds its recurrence value restricted to the last 2d inputs,
+    so log2 steps of c[d:] += E^d c[:-d] replace S sequential ones.
+    """
+    for k, P in enumerate(powers):
+        d = 1 << k
+        c[d:] += _act(P, c[:-d])
+    return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,6 +226,27 @@ class DiagonalSemigroup:
         w = 1.0 if alpha == 0.0 else self.frac_weights(alpha)
         return float(np.linalg.norm(w * (np.exp(self.mu * t) - 1.0) * np.asarray(coeffs, float)))
 
+    def window(self, tau: np.ndarray, x0: np.ndarray, forcing):
+        """(powers, A1, A2, free, lin) of one solver window on the substep
+        grid tau (S equal steps h from 0): powers[k] = T(h)^(2^k) for _scan;
+        A1, A2 weigh the f samples at the two ends of a substep (piecewise-
+        linear reconstruction); free = T(tau) x0; lin = free + int_0^tau
+        T_{-1}(tau-s) B p(s) ds.  forcing holds one (d+1, N) array per input
+        block, row k of block i being B_i p_k.  Closed form per mode, each
+        int_0^tau e^{mu (tau-s)} s^k ds computed once for all blocks; summed
+        over k within each block, then across blocks, then onto free: that
+        order keeps the bytes."""
+        S = tau.shape[0] - 1
+        h = float(tau[-1]) / S
+        z = self.mu * h
+        powers = np.exp(np.multiply.outer(2.0 ** np.arange(S.bit_length()), z))
+        free = np.exp(np.outer(tau, self.mu)) * x0[None, :]
+        ints = [poly_exp_integral(self.mu, tau[:, None], k)
+                for k in range(forcing[0].shape[0] if forcing else 0)]
+        lin = free + reduce(np.add, [sum(Bp[k] * I for k, I in enumerate(ints))
+                                     for Bp in forcing]) if forcing else free
+        return powers, h * (phi1(z) - phi2(z)), h * phi2(z), free, lin
+
 
 class _ArrayMemo:
     """Read-only array tuples by key; the oldest entries go once the held
@@ -254,25 +325,51 @@ class DenseGenerator:
             raise ValueError("semigroup time must be nonnegative")
         return self._expm(t) @ np.asarray(coeffs, float)
 
-    def propagators(self, h: float):
-        """(E, P1, P2) with E = e^{Ah}, P1 = int_0^h e^{A(h-s)} ds and
-        P2 = int_0^h e^{A(h-s)} (s/h) ds, via one augmented expm (Van Loan).
-        The arrays are read-only and memoised on the exact float h.
-        """
-        return self._memo.get(("P", h), lambda: self._van_loan(h))
+    def propagators(self, h: float, degree: int = 0):
+        """(E, P1, P2, Q_2, ..., Q_degree): E = e^{Ah}, P1 = int_0^h e^{A(h-s)} ds,
+        P2 = int_0^h e^{A(h-s)} (s/h) ds and Q_k = int_0^h e^{A(h-s)} s^k ds,
+        from one augmented expm (Van Loan, IEEE TAC 23, 1978) whose chain has
+        max(degree, 1) + 1 identity blocks; read-only, memoised per h and chain."""
+        m = max(degree, 1) + 1
+        return self._memo.get(("P", h, m), lambda: self._van_loan(h, m))
 
-    def _van_loan(self, h: float):
+    def _van_loan(self, h: float, m: int):
         n = self.n_modes
-        G = np.zeros((3 * n, 3 * n))
+        G = np.kron(np.eye(m + 1, k=1), np.eye(n))  # the chain of identities
         G[:n, :n] = self.A
-        G[:n, n : 2 * n] = np.eye(n)
-        G[n : 2 * n, 2 * n :] = np.eye(n)
         F = scipy.linalg.expm(G * h)
-        E = F[:n, :n].copy()
-        P1 = F[:n, n : 2 * n].copy()
-        # the (1,3) block is int e^{A(h-s)} s ds
-        P2 = F[:n, 2 * n :] / h if h > 0 else np.zeros((n, n))
-        return E, P1, P2
+        # block j of the top row is int e^{A(h-s)} s^(j-1)/(j-1)! ds
+        blocks = [F[:n, j * n : (j + 1) * n] for j in range(m + 1)]
+        P2 = blocks[2] / h if h > 0 else np.zeros((n, n))
+        return (blocks[0].copy(), blocks[1].copy(), P2,
+                *[math.factorial(k) * blocks[k + 1] for k in range(2, m)])
+
+    def window(self, tau: np.ndarray, x0: np.ndarray, forcing):
+        """DiagonalSemigroup.window for e^{At}, from the propagators of h:
+        powers by repeated squaring of E; free and lin as the two columns of
+        one _scan, lin_{j+1} = E lin_j + int_0^h e^{A(h-s)} B p(tau_j + s) ds,
+        whose input row j expands (tau_j + s)^i binomially: the sum over
+        k <= i <= d of C(i, k) tau_j^(i-k) Q_k B p_i, Q_0 = P1, Q_1 = h P2.
+        B p_i sums the blocks first, and each Q_k B p_i is a matrix-vector
+        product taken before its scalar weights: that order keeps the bytes
+        (the gemm (S, N) @ P1.T is 1 ulp off P1 B p_0)."""
+        S = tau.shape[0] - 1
+        h = float(tau[-1]) / S
+        d = forcing[0].shape[0] - 1 if forcing else 0
+        E, P1, P2, *Q = self.propagators(h, d)
+        powers = [E]
+        for _ in range(S.bit_length() - 1):
+            powers.append(powers[-1] @ powers[-1])
+        c = np.zeros((S + 1, 2, self.n_modes))
+        c[0] = x0
+        if forcing:
+            Bp = reduce(np.add, forcing)
+            Q = [P1, h * P2] + Q
+            c[1:, 1] = reduce(np.add, [
+                np.multiply.outer(math.comb(i, k) * tau[:-1] ** (i - k), Q[k] @ Bp[i])
+                for k in range(d + 1) for i in range(k, d + 1)])
+        _scan(c, powers)
+        return powers, P1 - P2, P2, c[:, 0], c[:, 1]
 
     def sg_distance(self, t: float, coeffs: np.ndarray, alpha: float = 0.0) -> float:
         if alpha != 0.0:

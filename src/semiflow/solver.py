@@ -11,23 +11,15 @@ so that the zero-class admissibility constant of the B2 channel times the
 local Lipschitz constant stays below the contraction target, and so that
 the invariance ball around the window's start state is certified.  The
 window kernel gets the input as a polynomial p on the window (windows end
-on the breakpoints of a piecewise-constant u, the constant p = u(0) there),
-so the linear part is exact on the whole substep grid: in diagonal mode
-e^{mu tau} x0 + sum_k B p_k int_0^tau e^{mu (tau-s)} s^k ds as one array
-expression, in dense mode (constant p only) lin_{j+1} = E lin_j + P1 B p_0
-with E = e^{Ah}, P1 = int_0^h e^{As} ds.  The nonlinear term uses
-piecewise-linear-in-time reconstruction of the f samples with exact
-per-mode exponential integration, so the only discretization error is the
-O(h^2) reconstruction error; per Picard iteration that is the recurrence
-conv_{j+1} = E conv_j + A1 g_j + A2 g_{j+1}.
-
-Every such affine recurrence c_{j+1} = E c_j + r_j over the S substeps
-(the convolution, and in dense mode the free and linear parts) is solved
-by one doubling scan: ceil(log2(S+1)) array steps c[d:] += E^d c[:-d],
-d = 1, 2, 4, ..., with the powers E^(2^k) formed once per window
-(exp(mu h 2^k) per mode, repeated squaring of the dense E).  A dense
-generator builds its propagators E, P1, P2 once per distinct step length
-h and keeps them (see DenseGenerator.propagators).
+on the breakpoints of a piecewise-constant u, the constant p = u(0) there).
+The semigroup's window method (DiagonalSemigroup.window, DenseGenerator.window)
+turns it into the exact linear part on the whole substep grid, and into the
+weights of the nonlinear term: piecewise-linear-in-time reconstruction of
+the f samples with exact integration against T, so the only discretization
+error is the O(h^2) reconstruction error.  Per Picard iteration that is the
+recurrence conv_{j+1} = E conv_j + A1 g_j + A2 g_{j+1}, solved by one
+doubling scan: ceil(log2(S+1)) array steps c[d:] += E^d c[:-d],
+d = 1, 2, 4, ..., with the powers E^(2^k) formed once per window.
 
 In analytic mode the iteration runs on y = (omega*I - A)^alpha x with the
 singular-kernel window certificate; a bounded-generator dense-matrix mode
@@ -42,14 +34,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict, field
-from functools import reduce
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.special
 
 from .core import InputSignal, Nonlinearity, SpectralState
-from .semigroup import DiagonalSemigroup, DenseGenerator, phi1, phi2
+from .semigroup import DiagonalSemigroup, DenseGenerator, _act, _scan, poly_exp_integral
 from .admissibility import (
     Bounded,
     InputOperator,
@@ -148,34 +139,6 @@ class PolySignal:
         return PolySignal(out)
 
 
-def poly_exp_integral(mu: np.ndarray, t, k: int) -> np.ndarray:
-    """int_0^t e^{mu (t-s)} s^k ds per mode, exact; an array t broadcasts
-    against mu (t[:, None] gives one row per time).
-
-    k = 0 is t phi1(mu t).  For k > 0: series k! t^{k+1} sum_j (mu t)^j /
-    (j+k+1)! in the cancellation-prone small |mu t| regime, stable
-    recurrence from the k = 0 value otherwise.
-    """
-    mu = np.asarray(mu, float)
-    z = mu * t
-    rec = t * phi1(z)  # I_0
-    if k == 0:
-        return rec
-    small = np.abs(z) <= 0.5
-
-    term = np.full(z.shape, t ** (k + 1) / (k + 1))
-    acc = term.copy()
-    zs = np.where(small, z, 0.0)
-    for j in range(1, 30):
-        term = term * zs / (k + 1 + j)
-        acc += term
-
-    mu_safe = np.where(small, 1.0, mu)
-    for i in range(1, k + 1):
-        rec = (i * rec - t ** i) / mu_safe
-    return np.where(small, acc, rec)
-
-
 def convolve_poly(sg: DiagonalSemigroup, B: InputOperator, p: PolySignal,
                   t) -> np.ndarray:
     """int_0^t T_{-1}(t-s) B p(s) ds for a polynomial input, exact per mode;
@@ -245,13 +208,10 @@ class EvolutionSystem:
                 raise ValueError(f"{name} mode count does not match the semigroup")
         a = self.alpha
         if isinstance(sg, DenseGenerator):
-            if a != 0.0:
-                raise ValueError("analytic mode needs a diagonal analytic semigroup")
             for op, name in ops:
                 if op is not None and not isinstance(op.declared_class, Bounded):
-                    raise ValueError(
-                        f"{name}: only bounded operators enter the dense ODE mode"
-                    )
+                    raise ValueError(f"{name}: only bounded operators enter "
+                                     "the dense ODE mode")
         if not 0.0 <= a < 1.0:
             raise ValueError("analytic order must lie in [0, 1)")
         if a > 0.0:
@@ -550,26 +510,6 @@ class _WindowFailure(Exception):
     pass
 
 
-def _act(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """M applied to the last axis of x: per-mode factors (diagonal mode)
-    or a matrix (dense mode)."""
-    return M * x if M.ndim == 1 else x @ M.T
-
-
-def _scan(c: np.ndarray, powers) -> np.ndarray:
-    """Solve c[j+1] = E c[j] + r_j in place, given c = [c0, r_0, ..., r_{S-1}]
-    along axis 0 and powers[k] = E^(2^k) for k < ceil(log2(S+1)).
-
-    Hillis-Steele doubling (Blelloch 1990): after the step with offset d
-    every row holds its recurrence value restricted to the last 2d inputs,
-    so log2 steps of c[d:] += E^d c[:-d] replace S sequential ones.
-    """
-    for k, P in enumerate(powers):
-        d = 1 << k
-        c[d:] += _act(P, c[:-d])
-    return c
-
-
 def _picard_window_raw(sys: EvolutionSystem, x0: np.ndarray, p: PolySignal,
                        t1: float, cfg: SolverConfig):
     """Iterate the window fixed-point map on the sub-grid, with the input
@@ -579,40 +519,11 @@ def _picard_window_raw(sys: EvolutionSystem, x0: np.ndarray, p: PolySignal,
     (weighted by (omega - mu)^alpha in analytic mode) at each sub-grid
     point.  Raises _WindowFailure on divergence or iteration exhaustion.
     """
-    sg = sys.semigroup
-    S = cfg.substeps_per_window
-    tau = np.linspace(0.0, t1, S + 1)
-    h = t1 / S
-    n_powers = S.bit_length()  # ceil(log2(S + 1))
-
-    blocks = list(zip(sys.input_blocks, sys.input_columns))
-    if isinstance(sg, DenseGenerator):
-        if blocks and p.degree > 0:
-            raise ValueError("polynomial inputs are not wired to the dense mode")
-        E, P1, P2 = sg.propagators(h)
-        A1 = P1 - P2
-        A2 = P2
-        powers = [E]
-        for _ in range(n_powers - 1):
-            powers.append(powers[-1] @ powers[-1])
-        # free and linear part in one scan: rows c0 = x0, r_j = 0 and P1 B p_0
-        c = np.zeros((S + 1, 2, sg.n_modes))
-        c[0] = x0
-        if blocks:
-            c[1:, 1] = P1 @ reduce(np.add, [op.apply(p.coeffs[0, cols])
-                                            for op, cols in blocks])
-        _scan(c, powers)
-        free, lin = c[:, 0], c[:, 1]
-    else:
-        z = sg.mu * h
-        A1 = h * (phi1(z) - phi2(z))
-        A2 = h * phi2(z)
-        powers = np.exp(np.multiply.outer(2.0 ** np.arange(n_powers), z))
-        free = np.exp(np.outer(tau, sg.mu)) * x0[None, :]
-        # each block convolves its own columns: B u = sum_i B_i u_i
-        lin = free if not blocks else free + reduce(np.add, [
-            convolve_poly(sg, op, PolySignal(p.coeffs[:, cols]), tau[:, None])
-            for op, cols in blocks])
+    tau = np.linspace(0.0, t1, cfg.substeps_per_window + 1)
+    # row k of block i is B_i p_k: B u = sum_i B_i u_i
+    forcing = [np.array([op.apply(pk) for pk in p.coeffs[:, cols]])
+               for op, cols in zip(sys.input_blocks, sys.input_columns)]
+    powers, A1, A2, free, lin = sys.semigroup.window(tau, x0, forcing)
 
     w = sys.weights[None, :]
     lin_w = lin * w

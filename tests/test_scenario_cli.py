@@ -100,6 +100,25 @@ def test_heat_decay_scenario_outputs(tmp_path, capsys):
     assert diag["status"]["kind"] == "completed"
 
 
+def test_dense_scenario_with_polynomial_input(tmp_path, capsys):
+    # the schema accepts a "poly" input for every semigroup, the dense one too
+    sc = {
+        "task": "solve",
+        "system": {"semigroup": {"dense": [[0, 1], [-2, -0.3]]},
+                   "nonlinearity": {"name": "arctan", "params": {"gain": 0.3}},
+                   "B": {"coeffs": [[0], [1]]}},
+        "x0": {"coeffs": [1, 0]},
+        "input": {"poly": [[1], [0.5], [-0.25]]},
+        "t_end": 1,
+    }
+    out = tmp_path / "out"
+    assert main([write_scenario(tmp_path, sc), "--out", str(out)]) == 0
+    assert "solve: status=completed" in capsys.readouterr().out
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert rows[0] == "t,norm_X,coeff_1,coeff_2"
+    assert float(rows[-1].split(",")[0]) == 1.0
+
+
 def test_rerun_is_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main([repo_scenario("heat_decay.json"), "--out", str(a), "--quiet"]) == 0

@@ -225,6 +225,56 @@ def test_dense_propagators_match_diagonal_phi_rule():
     assert np.allclose(np.diag(P2), h * phi2(mu * h), rtol=1e-10)
 
 
+def _non_normal_generator():
+    rng = np.random.default_rng(2211)
+    return -np.diag(np.arange(1.0, 9.0)) + np.triu(rng.uniform(-1.5, 1.5, (8, 8)), 1)
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_dense_propagators_low_degree_keep_the_three_block_chain(degree):
+    # degree <= 1 needs no Q_k, so the Van Loan chain stays [[A, I, 0],
+    # [0, 0, I], [0, 0, 0]] and (E, P1, P2) keep their bytes
+    import scipy.linalg
+
+    A = _non_normal_generator()
+    n = A.shape[0]
+    for h in (0.37, 0.37 / 64, 1e-3):
+        G = np.zeros((3 * n, 3 * n))
+        G[:n, :n] = A
+        G[:n, n : 2 * n] = np.eye(n)
+        G[n : 2 * n, 2 * n :] = np.eye(n)
+        F = scipy.linalg.expm(G * h)
+        got = DenseGenerator(A).propagators(h, degree)
+        assert len(got) == 3
+        for a, b in zip(got, (F[:n, :n], F[:n, n : 2 * n], F[:n, 2 * n :] / h)):
+            assert np.array_equal(a, b)
+
+
+def test_dense_propagators_higher_moments_against_quadrature():
+    import scipy.integrate
+    import scipy.linalg
+
+    A = _non_normal_generator()
+
+    def moment(h, k):
+        return scipy.integrate.quad_vec(
+            lambda s: scipy.linalg.expm(A * (h - s)) * s ** k, 0.0, h,
+            epsabs=0.0, epsrel=1e-14, norm="max")[0]
+
+    for h in (0.01, 0.1, 0.37, 0.7):
+        E, P1, P2, *Q = DenseGenerator(A).propagators(h, 4)
+        assert len(Q) == 3
+        for k, Qk in zip((2, 3, 4), Q):
+            ref = moment(h, k)
+            assert np.max(np.abs(Qk - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the augmented exponential is accurate relative to its whole norm, not
+    # to each block: at h = 1e-3 the s^3 and s^4 moments (about 2.5e-13 and
+    # 2e-16) carry relative errors near 1e-10 and 1e-7, absolute ones near 1e-23
+    E, P1, P2, *Q = DenseGenerator(A).propagators(1e-3, 4)
+    for k, Qk in zip((2, 3, 4), Q):
+        assert np.max(np.abs(Qk - moment(1e-3, k))) <= 1e-19
+
+
 def test_dense_sg_distance_refuses_fractional():
     g = DenseGenerator(np.array([[-1.0]]))
     with pytest.raises(ValueError):

@@ -127,17 +127,26 @@ def test_blowup_threshold_monotone():
     assert times[0] <= times[1] <= times[2]
 
 
-def test_dense_linear_against_ivp_oracle():
+_DENSE_ORACLE_INPUTS = {
+    "piecewise_constant": (InputSignal(np.array([0.0, 0.5, 1.0]), np.array([[1.0], [-1.0]])),
+                           lambda t: 1.0 if t < 0.5 else -1.0),
+    "poly_degree2": (PolySignal(np.array([[1.0], [0.5], [-0.25]])),
+                     lambda t: 1.0 + 0.5 * t - 0.25 * t * t),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DENSE_ORACLE_INPUTS))
+def test_dense_linear_against_ivp_oracle(case):
+    u, u_of_t = _DENSE_ORACLE_INPUTS[case]
     A = np.array([[0.0, 1.0], [-2.0, -0.3]])
     gen = DenseGenerator(A)
     B = InputOperator(np.array([[0.0], [1.0]]), Bounded())
     sys = EvolutionSystem(gen, zero_nonlinearity(2), B=B)
-    u = InputSignal(np.array([0.0, 0.5, 1.0]), np.array([[1.0], [-1.0]]))
     x0 = np.array([1.0, 0.0])
     traj = solve(sys, SpectralState(x0), u, 1.0)
 
     def rhs(t, x):
-        return A @ x + B.coeffs[:, 0] * (1.0 if t < 0.5 else -1.0)
+        return A @ x + B.coeffs[:, 0] * u_of_t(t)
 
     sol = scipy.integrate.solve_ivp(rhs, (0.0, 1.0), x0, rtol=1e-12, atol=1e-13,
                                     max_step=0.01)
@@ -239,6 +248,37 @@ def test_dense_nonlinear_against_ivp_oracle():
     # the substep reconstruction is second order in h
     assert errs[0] / errs[1] >= 3.5
     assert errs[1] / errs[2] >= 3.5
+
+
+def test_dense_poly_input_against_ivp_oracle():
+    # a degree-2 input on the 8-mode non-normal generator: with zero f the
+    # linear part is exact to roundoff at every S; with arctan f only the
+    # second-order reconstruction error of the f samples is left
+    base = _props_dense_system()
+    A, Bc = base.semigroup.A, base.input_blocks[0].coeffs
+    p = PolySignal(np.array([[0.6, -0.3], [0.8, 0.4], [-0.5, 0.2]]))
+    x0 = np.linspace(0.5, -0.4, 8)
+    cases = [(zero_nonlinearity(8), lambda x, u: 0.0),
+             (base.f, lambda x, u: 0.4 * np.arctan(x + 0.5 * np.r_[u, np.zeros(6)]))]
+    errs = []
+    for f, f_of in cases:
+        sys = EvolutionSystem(base.semigroup, f, B=base.B)
+
+        def rhs(t, x):
+            u = p.value(t)
+            return A @ x + Bc @ u + f_of(x, u)
+
+        sol = scipy.integrate.solve_ivp(rhs, (0.0, 2.0), x0, rtol=1e-12, atol=1e-13,
+                                        max_step=0.01)
+        trajs = [solve(sys, SpectralState(x0), p, 2.0, SolverConfig(substeps_per_window=S))
+                 for S in (64, 128)]
+        assert all(tr.status.kind == "completed" for tr in trajs)
+        errs.append([np.linalg.norm(tr.final_state().coeffs - sol.y[:, -1]) for tr in trajs])
+    (zero_64, zero_128), (arctan_64, arctan_128) = errs
+    assert zero_64 <= 1e-12 and zero_128 <= 1e-12
+    assert arctan_64 <= 1e-6
+    # the substep reconstruction is second order in h
+    assert arctan_64 / arctan_128 >= 3.5
 
 
 def test_select_step_zero_f_hits_cap():
@@ -765,7 +805,8 @@ def _blocks_system(dense: bool, zero_block: bool):
 def test_one_block_is_bit_identical_through_the_block_path(dense):
     # per-block certificate and per-block linear part: a second block that
     # carries nothing adds exact zeros, so windows, diagnostics and samples
-    # equal the one-block solve bit for bit
+    # equal the one-block solve bit for bit, under a degree-1 polynomial
+    # input and a piecewise-constant one
     one, two = _blocks_system(dense, False), _blocks_system(dense, True)
     assert (one.input_channels, two.input_channels) == (1, 2)
     assert two.input_columns == (slice(0, 1), slice(1, 2))
@@ -774,12 +815,16 @@ def test_one_block_is_bit_identical_through_the_block_path(dense):
     u1 = InputSignal(grid, vals)
     u2 = InputSignal(grid, np.hstack([vals, np.zeros((3, 1))]))
     x0 = SpectralState(np.array([0.6, -0.4, 0.9, 0.2]))
-    a = solve(one, x0, u1, 1.5, SolverConfig(substeps_per_window=16))
-    b = solve(two, x0, u2, 1.5, SolverConfig(substeps_per_window=16))
-    assert a.status.kind == b.status.kind == "completed"
-    assert np.array_equal(a.times, b.times) and np.array_equal(a.coeffs, b.coeffs)
-    assert [asdict(d) for d in a.diagnostics] == [asdict(d) for d in b.diagnostics]
+    ramp = np.array([[0.8], [-1.2]])
+    for v1, v2 in [(PolySignal(ramp), PolySignal(np.hstack([ramp, np.zeros((2, 1))]))),
+                   (u1, u2)]:
+        a = solve(one, x0, v1, 1.5, SolverConfig(substeps_per_window=16))
+        b = solve(two, x0, v2, 1.5, SolverConfig(substeps_per_window=16))
+        assert a.status.kind == b.status.kind == "completed"
+        assert np.array_equal(a.times, b.times) and np.array_equal(a.coeffs, b.coeffs)
+        assert [asdict(d) for d in a.diagnostics] == [asdict(d) for d in b.diagnostics]
     tuple_one = EvolutionSystem(one.semigroup, one.f, B=(one.B,))
+    # a is the piecewise-constant solve of the last pass
     c = solve(tuple_one, x0, u1, 1.5, SolverConfig(substeps_per_window=16))
     assert np.array_equal(a.coeffs, c.coeffs)
 
@@ -826,6 +871,8 @@ def test_system_validation():
     with pytest.raises(ValueError):
         EvolutionSystem(DiagonalSemigroup(mu=np.array([-1.0]), omega=1.0),
                         zero_nonlinearity(1), analytic_alpha=0.5)
+    with pytest.raises(ValueError, match="analytic mode needs an analytic semigroup"):
+        EvolutionSystem(dense, zero_nonlinearity(1), analytic_alpha=0.5)
 
 
 def test_input_regularity_deficit_flag():
