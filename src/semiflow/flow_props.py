@@ -70,11 +70,11 @@ class PropertyReport:
         }
 
 
-def _report(name: str, n: int, ratio: float, witness: dict, notes: str = "",
-            tol: float = REPORT_TOLERANCE) -> PropertyReport:
+def _report(name: str, n: int, ratio: float, witness: dict,
+            notes: str = "") -> PropertyReport:
     return PropertyReport(
         name=name, n_samples=n, worst_ratio=float(ratio),
-        passed=bool(ratio <= 1.0 + tol), tolerance=tol,
+        passed=bool(ratio <= 1.0 + REPORT_TOLERANCE), tolerance=REPORT_TOLERANCE,
         witness=witness, notes=notes,
     )
 
@@ -129,15 +129,16 @@ def draw_states(rng: np.random.Generator, n_modes: int, radius: float,
 
 
 def draw_signals(rng: np.random.Generator, m: int, radius: float,
-                 horizon: float, count: int, n_cells: int = 3) -> List[InputSignal]:
-    """count inputs with sup norm <= radius; the max-amplitude constant first."""
+                 horizon: float, count: int) -> List[InputSignal]:
+    """count inputs with sup norm <= radius, piecewise constant on 3 cells;
+    the max-amplitude constant first."""
     out = [InputSignal.constant(np.full(m, radius / math.sqrt(m)), horizon)]
     while len(out) < count:
-        edges = np.sort(rng.uniform(0.1, 0.9, size=n_cells - 1)) * horizon
+        edges = np.sort(rng.uniform(0.1, 0.9, size=2)) * horizon
         grid = np.concatenate(([0.0], edges, [horizon]))
-        vals = rng.normal(size=(n_cells, m))
+        vals = rng.normal(size=(3, m))
         nrm = np.linalg.norm(vals, axis=1, keepdims=True)
-        vals = vals / np.maximum(nrm, 1e-12) * radius * rng.uniform(0.2, 1.0, (n_cells, 1))
+        vals = vals / np.maximum(nrm, 1e-12) * radius * rng.uniform(0.2, 1.0, (3, 1))
         out.append(InputSignal(grid, vals))
     return out[:count]
 
@@ -169,8 +170,7 @@ def cocycle_residual(sys: EvolutionSystem, x0: SpectralState,
 
 def check_axioms(sys: EvolutionSystem, t_end: float, n_samples: int = 5,
                  seed: int = 0, cfg: Optional[SolverConfig] = None,
-                 radius: float = 0.5, input_radius: float = 0.5,
-                 tol: float = REPORT_TOLERANCE) -> PropertyReport:
+                 radius: float = 0.5, input_radius: float = 0.5) -> PropertyReport:
     """Identity, causality, continuity in t, and the cocycle property.
 
     Identity and causality admit exact certificates (the flow starts at the
@@ -253,7 +253,7 @@ def check_axioms(sys: EvolutionSystem, t_end: float, n_samples: int = 5,
 
     ratio = max(worst.values())
     witness["per_axiom_ratio"] = worst
-    return _report("axioms", n_samples, ratio, witness, tol=tol)
+    return _report("axioms", n_samples, ratio, witness)
 
 
 def _max_row_norm(rows: np.ndarray, w: np.ndarray) -> float:
@@ -297,22 +297,20 @@ def _continuity_ratio(sys: EvolutionSystem, traj: Trajectory,
 
 def check_deviation(sys: EvolutionSystem, x1: SpectralState, x2: SpectralState,
                     u: Optional[InputSignal], tau: float,
-                    cfg: Optional[SolverConfig] = None,
-                    n_checkpoints: int = 16,
-                    tol: float = REPORT_TOLERANCE) -> PropertyReport:
-    """|phi(t, x1, u) - phi(t, x2, u)| <= 2 M e^{R t} |x1 - x2| with
-    R = lam + ln(2M) / t1, t1 the shortest certified window either
-    trajectory used.  Shorter windows only enlarge R, so the bound stays
-    valid for the chained window argument."""
+                    cfg: Optional[SolverConfig] = None) -> PropertyReport:
+    """|phi(t, x1, u) - phi(t, x2, u)| <= 2 M e^{R t} |x1 - x2| at 16
+    equally spaced checkpoints, with R = lam + ln(2M) / t1, t1 the shortest
+    certified window either trajectory used.  Shorter windows only enlarge
+    R, so the bound stays valid for the chained window argument."""
     cfg = cfg or SolverConfig()
-    cps = list(np.linspace(0.0, tau, n_checkpoints + 1)[1:])
+    cps = list(np.linspace(0.0, tau, 17)[1:])
     t1_ = solve(sys, x1, u, tau, cfg, checkpoint_times=cps)
     t2_ = solve(sys, x2, u, tau, cfg, checkpoint_times=cps)
     if t1_.status.kind != "completed" or t2_.status.kind != "completed":
         return _report(
             "deviation", 1, 0.0,
             {"status": [t1_.status.kind, t2_.status.kind]},
-            notes="inapplicable: a trajectory left the horizon early", tol=tol)
+            notes="inapplicable: a trajectory left the horizon early")
     t1_min = min(d.t1 for d in t1_.diagnostics + t2_.diagnostics)
     sg = sys.semigroup
     R = sg.lam + math.log(2.0 * sg.M) / t1_min
@@ -334,14 +332,13 @@ def check_deviation(sys: EvolutionSystem, x1: SpectralState, x2: SpectralState,
         if r > worst:
             worst = r
             witness.update({"t": t, "deviation": dev, "bound": bound})
-    return _report("deviation", 1, worst, witness, tol=tol)
+    return _report("deviation", 1, worst, witness)
 
 
 def deviation_suite(sys: EvolutionSystem, tau: float, n_pairs: int = 20,
                     seed: int = 0, radius: float = 0.5,
                     input_radius: float = 0.5,
-                    cfg: Optional[SolverConfig] = None,
-                    tol: float = REPORT_TOLERANCE) -> PropertyReport:
+                    cfg: Optional[SolverConfig] = None) -> PropertyReport:
     """Seeded aggregation of check_deviation over random pairs."""
     rng = np.random.default_rng(seed)
     w = sys.weights if sys.alpha > 0.0 else None
@@ -351,7 +348,7 @@ def deviation_suite(sys: EvolutionSystem, tau: float, n_pairs: int = 20,
     for i in range(n_pairs):
         rep = check_deviation(sys, SpectralState(states[2 * i]),
                               SpectralState(states[2 * i + 1]), inputs[i],
-                              tau, cfg, tol=tol)
+                              tau, cfg)
         if "inapplicable" in rep.notes:
             continue
         used += 1
@@ -359,15 +356,14 @@ def deviation_suite(sys: EvolutionSystem, tau: float, n_pairs: int = 20,
             worst = rep.worst_ratio
             witness = {"pair": i, **rep.witness}
     notes = "" if used == n_pairs else f"{n_pairs - used} pairs inapplicable"
-    return _report("deviation", used, worst, witness, notes=notes, tol=tol)
+    return _report("deviation", used, worst, witness, notes=notes)
 
 
 # ---------------------------------------------------------------------------
 # continuous dependence on (x, u)
 
 def check_continuous_dependence(sys: EvolutionSystem, pairs, tau: float,
-                                cfg: Optional[SolverConfig] = None,
-                                tol: float = REPORT_TOLERANCE) -> PropertyReport:
+                                cfg: Optional[SolverConfig] = None) -> PropertyReport:
     """First-window estimate 2 M e^{lam t1} |dx| + 2 h_t1 |du| + q(|du|),
     with q the declared input modulus of f, plus the window-chained
     propagation of the same constants over [0, tau].
@@ -428,8 +424,7 @@ def check_continuous_dependence(sys: EvolutionSystem, pairs, tau: float,
             worst = ratio_i
             witness = {"pair": i, "t1": t1, **info}
     notes = "" if used == len(pairs) else "some pairs inapplicable"
-    return _report("continuous_dependence", used, worst, witness,
-                   notes=notes, tol=tol)
+    return _report("continuous_dependence", used, worst, witness, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +477,8 @@ def saturated_system(sys: EvolutionSystem) -> EvolutionSystem:
 
 def check_cep(sys: EvolutionSystem, eps_grid: Sequence[float],
               h_grid: Sequence[float], cfg: Optional[SolverConfig] = None,
-              n_samples: int = 5, seed: int = 0, ladder_steps: int = 12,
-              tol: float = REPORT_TOLERANCE) -> PropertyReport:
+              n_samples: int = 5, seed: int = 0,
+              ladder_steps: int = 12) -> PropertyReport:
     """For each (eps, horizon) cell, walk delta down the ladder eps, eps/2,
     ... until every sampled trajectory from the delta-balls stays inside
     the eps-ball of the saturated companion system.  For eps <= 1 the
@@ -532,15 +527,14 @@ def check_cep(sys: EvolutionSystem, eps_grid: Sequence[float],
     if any(e > 1.0 for e in eps_grid):
         notes += "; eps > 1 certifies the saturated companion only"
     return _report("cep", len(table) * n_samples, worst, {"table": table},
-                   notes=notes, tol=tol)
+                   notes=notes)
 
 
 # ---------------------------------------------------------------------------
 # bounded reachability
 
 def check_brs(sys: EvolutionSystem, C: float, tau: float, n_samples: int = 20,
-              seed: int = 0, cfg: Optional[SolverConfig] = None,
-              tol: float = REPORT_TOLERANCE) -> PropertyReport:
+              seed: int = 0, cfg: Optional[SolverConfig] = None) -> PropertyReport:
     """Sampled sup of the trajectory norm over the C-balls and [0, tau].
 
     With a uniform Lipschitz certificate the sampled sup is compared
@@ -560,11 +554,11 @@ def check_brs(sys: EvolutionSystem, C: float, tau: float, n_samples: int = 20,
             return _report(
                 "brs", i + 1, 2.0,
                 {"sample": i, "t_blowup": traj.status.t_blowup},
-                notes="reachability fails: sampled trajectory escapes", tol=tol)
+                notes="reachability fails: sampled trajectory escapes")
         if traj.status.kind == "failed":
             return _report(
                 "brs", i + 1, 2.0, {"sample": i, "reason": traj.status.reason},
-                notes="solver could not certify the sample", tol=tol)
+                notes="solver could not certify the sample")
         s = traj.sup_norm()
         if s > sup_x:
             sup_x, witness = s, {"sample": i, "sup": s}
@@ -572,7 +566,7 @@ def check_brs(sys: EvolutionSystem, C: float, tau: float, n_samples: int = 20,
     witness["sampled_sup"] = sup_x
     if sys.f.uniform_lipschitz is None:
         return _report("brs", n_samples, 0.0, witness,
-                       notes="no uniform certificate; sampled sup only", tol=tol)
+                       notes="no uniform certificate; sampled sup only")
     bound = global_bound(sys, C, C, tau, cfg)
     witness["certified_bound"] = bound
-    return _report("brs", n_samples, sup_w / bound, witness, tol=tol)
+    return _report("brs", n_samples, sup_w / bound, witness)

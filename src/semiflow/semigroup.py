@@ -232,20 +232,25 @@ class DiagonalSemigroup:
         A1, A2 weigh the f samples at the two ends of a substep (piecewise-
         linear reconstruction); free = T(tau) x0; lin = free + int_0^tau
         T_{-1}(tau-s) B p(s) ds.  forcing holds one (d+1, N) array per input
-        block, row k of block i being B_i p_k.  Closed form per mode, each
-        int_0^tau e^{mu (tau-s)} s^k ds computed once for all blocks; summed
-        over k within each block, then across blocks, then onto free: that
-        order keeps the bytes."""
+        block, row k of block i being B_i p_k.  convolve gives each block's
+        part; summed across blocks, then onto free: that order keeps the
+        bytes."""
         S = tau.shape[0] - 1
         h = float(tau[-1]) / S
         z = self.mu * h
         powers = np.exp(np.multiply.outer(2.0 ** np.arange(S.bit_length()), z))
         free = np.exp(np.outer(tau, self.mu)) * x0[None, :]
-        ints = [poly_exp_integral(self.mu, tau[:, None], k)
-                for k in range(forcing[0].shape[0] if forcing else 0)]
-        lin = free + reduce(np.add, [sum(Bp[k] * I for k, I in enumerate(ints))
-                                     for Bp in forcing]) if forcing else free
+        lin = free + reduce(np.add, self.convolve(tau[:, None], forcing)) if forcing else free
         return powers, h * (phi1(z) - phi2(z)), h * phi2(z), free, lin
+
+    def convolve(self, t, forcing):
+        """int_0^t e^{mu (t-s)} sum_k rows[k] s^k ds per mode for each block
+        rows of forcing (B p_k for an input B p); t broadcasts against mu as
+        in poly_exp_integral.  Each k's integral is computed once for all
+        blocks; each block sums its own k in increasing order."""
+        ints = [poly_exp_integral(self.mu, t, k)
+                for k in range(max(map(len, forcing), default=0))]
+        return [sum(r * I for r, I in zip(rows, ints)) for rows in forcing]
 
 
 class _ArrayMemo:

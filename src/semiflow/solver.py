@@ -40,6 +40,7 @@ import numpy as np
 import scipy.special
 
 from .core import InputSignal, Nonlinearity, SpectralState
+# poly_exp_integral is unused here; the tests and perfbench's tracer look it up here
 from .semigroup import DiagonalSemigroup, DenseGenerator, _act, _scan, poly_exp_integral
 from .admissibility import (
     Bounded,
@@ -141,10 +142,10 @@ class PolySignal:
 
 def convolve_poly(sg: DiagonalSemigroup, B: InputOperator, p: PolySignal,
                   t) -> np.ndarray:
-    """int_0^t T_{-1}(t-s) B p(s) ds for a polynomial input, exact per mode;
-    an array t broadcasts as in poly_exp_integral."""
-    return sum(B.apply(p.coeffs[k]) * poly_exp_integral(sg.mu, t, k)
-               for k in range(p.coeffs.shape[0]))
+    """int_0^t T_{-1}(t-s) B p(s) ds, diagonal semigroups only, by sg.convolve.
+    The name stays because perfbench's boundary_poly check calls it and
+    perfbench/layer_trace.py lists it."""
+    return sg.convolve(t, [[B.apply(pk) for pk in p.coeffs]])[0]
 
 
 DrivingSignal = Union[InputSignal, PolySignal]
@@ -383,11 +384,11 @@ class Trajectory:
             return SpectralState(self.coeffs[-1], blown_up=True)
         return SpectralState(self.coeffs[-1])
 
-    def state_at(self, t: float, tol: float = 1e-9) -> SpectralState:
-        """Sample lookup; exact grid hit preferred, linear interpolation else."""
+    def state_at(self, t: float) -> SpectralState:
+        """Sample lookup: a grid time within 1e-9 of t, else linear interpolation."""
         i = int(np.searchsorted(self.times, t))
         for j in (i - 1, i, i + 1):
-            if 0 <= j < self.n_samples and abs(self.times[j] - t) <= tol:
+            if 0 <= j < self.n_samples and abs(self.times[j] - t) <= 1e-9:
                 return SpectralState(self.coeffs[j])
         if t < self.times[0] or t > self.times[-1]:
             raise ValueError(f"time {t} outside trajectory range")

@@ -5,6 +5,7 @@ import pytest
 
 from semiflow import (
     Bounded,
+    DenseGenerator,
     PolySignal,
     QAdmissible,
     SmoothClass,
@@ -56,6 +57,10 @@ def test_shape_normalization_and_guards():
         BoundaryControlSystem(sg, np.ones((4, 1)), np.zeros((4, 1)))
     with pytest.raises(ValueError, match="shape"):
         BoundaryControlSystem(sg, np.ones((8, 1)) / 64.0, np.zeros((8, 2)))
+    # the boundary operator B = formal_ar - mu R needs the diagonal eigenvalues
+    with pytest.raises(ValueError, match="DenseGenerator"):
+        BoundaryControlSystem(DenseGenerator(np.diag(-np.arange(1.0, 9.0))),
+                              np.ones((8, 1)) / 64.0, np.zeros((8, 1)))
 
 
 def test_boundary_trace_inverts_lift():

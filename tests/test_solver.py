@@ -621,6 +621,37 @@ def test_convolve_poly_single_mode_closed_form():
         assert got == pytest.approx(t - 1.0 + np.exp(-t), rel=1e-12)
 
 
+def test_diagonal_convolve_is_the_one_polynomial_convolution():
+    rng = np.random.default_rng(17)
+    mu = np.array([-40.0, -3.0, -0.2, 0.0, 0.4])
+    sg = DiagonalSemigroup(mu=mu, omega=1.0)
+    # blocks of degrees 3, 2 and 0 in one call
+    forcing = [rng.normal(size=(d + 1, 5)) for d in (3, 2, 0)]
+    for t in (0.3, np.array([0.05, 0.3, 1.7])[:, None]):
+        got = sg.convolve(t, forcing)
+        assert len(got) == 3
+        for rows, block in zip(forcing, got):
+            want = sum(rows[k] * poly_exp_integral(mu, t, k) for k in range(len(rows)))
+            assert np.array_equal(block, want)
+    assert sg.convolve(0.3, []) == []
+
+    # the window's linear part is free + the sum of its blocks' convolutions
+    tau = np.linspace(0.0, 0.25, 9)
+    x0 = rng.normal(size=5)
+    two = [rng.normal(size=(3, 5)) for _ in range(2)]
+    *_, free, lin = sg.window(tau, x0, two)
+    blocks = [sum(Bp[k] * poly_exp_integral(mu, tau[:, None], k) for k in range(3))
+              for Bp in two]
+    assert np.array_equal(lin, free + (blocks[0] + blocks[1]))
+
+    # convolve_poly is the one-block case, B p_k as InputOperator.apply forms it
+    B = InputOperator(rng.normal(size=(5, 2)), Bounded())
+    p = PolySignal(rng.normal(size=(3, 2)))
+    for t in (0.3, tau[:, None]):
+        want = sum(B.apply(p.coeffs[k]) * poly_exp_integral(mu, t, k) for k in range(3))
+        assert np.array_equal(convolve_poly(sg, B, p, t), want)
+
+
 def test_analytic_mode_reports_alpha_norms():
     sg = heat_dirichlet_semigroup(16)
     sys = EvolutionSystem(sg, zero_nonlinearity(16), analytic_alpha=0.5)
