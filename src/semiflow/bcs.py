@@ -109,7 +109,10 @@ class BoundaryControlSystem:
                              f"not a {type(self.semigroup).__name__}")
         def columns(a):  # a single row of N > 1 coefficients is one column
             a = np.atleast_2d(np.asarray(a, float))
-            return a.T if a.shape[0] == 1 and self.semigroup.n_modes > 1 else a
+            # a read-only C-ordered copy: the caller's array may change later
+            a = (a.T if a.shape[0] == 1 and self.semigroup.n_modes > 1 else a).copy()
+            a.setflags(write=False)
+            return a
         self.lifting, self.formal_ar = columns(self.lifting), columns(self.formal_ar)
         if self.lifting.shape[0] != self.semigroup.n_modes:
             raise ValueError("lifting rows must match the mode count")

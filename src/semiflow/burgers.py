@@ -139,12 +139,8 @@ class BurgersSystem:
         Lf = self.local.lipschitz_y
         f0 = float(np.linalg.norm(self.F_batch(np.zeros(self.N))))
 
-        def ev(x, v):
-            return self.F_batch(x)
-
         return Nonlinearity(
-            eval=ev,
-            eval_batch=lambda X, V: self.F_batch(X),
+            eval=lambda x, v: self.F_batch(x),
             lipschitz=lambda r: 2.0 * math.sqrt(math.pi) * r + math.pi * Lf,
             growth_sigma=KinfFunction.identity(),
             growth_c=f0,

@@ -280,10 +280,11 @@ class KinfFunction:
 class Nonlinearity:
     """Right-hand side f: X x U -> V with declared growth/Lipschitz certificates.
 
-    eval acts on raw coefficient vectors (x, v) -> f-coefficients; eval_batch,
-    when given, applies f along the leading axis of stacked samples and lets
-    the solver reconstruct a whole sub-grid in one call.  lipschitz(r) bounds
-    the Lipschitz constant of f on the closed r-ball (states and input values
+    eval is the one vectorised callable (x, v) -> f-coefficients on raw
+    coefficient vectors: it acts along leading axes, so it takes one sample
+    pair (N,), (m,) as well as stacked samples (P, N), (P, m), and the solver
+    evaluates a whole sub-grid in one call.  lipschitz(r) bounds the
+    Lipschitz constant of f on the closed r-ball (states and input values
     both within r); growth_sigma and growth_c certify
     |f(0, v)| <= sigma(|v|) + c.  input_modulus, when given, certifies
     |f(x1,v1) - f(x2,v2)| <= lipschitz(r) * (|x1-x2| + q(|v1-v2|)),
@@ -296,7 +297,6 @@ class Nonlinearity:
     lipschitz: Callable[[float], float]
     growth_sigma: KinfFunction
     growth_c: float = 0.0
-    eval_batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     uniform_lipschitz: Optional[float] = None
     input_modulus: Optional[KinfFunction] = None
     label: str = "f"
@@ -309,14 +309,10 @@ class Nonlinearity:
         return np.asarray(self.eval(np.asarray(x, float), np.asarray(v, float)), float)
 
     def batch(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Apply f to stacked samples: X is (P, N), V is (P, m)."""
-        X = np.asarray(X, float)
-        V = np.asarray(V, float)
-        if self.eval_batch is not None:
-            out = np.asarray(self.eval_batch(X, V), float)
-        else:
-            out = np.stack([self(X[i], V[i]) for i in range(X.shape[0])])
-        return out
+        """Apply f to stacked samples: X is (P, N), V is (P, m).  The same
+        call as f(X, V), under the name the window kernel (and perfbench's
+        tracer) uses."""
+        return self(X, V)
 
     def spot_check_lipschitz(self, rng: np.random.Generator, radius: float,
                              n_modes: int, m: int, n_samples: int = 50) -> float:

@@ -436,32 +436,18 @@ def saturated_system(sys: EvolutionSystem) -> EvolutionSystem:
     v).  Retractions are 1-Lipschitz in a Hilbert norm, so the local
     certificates at radius 1 become uniform ones; inside the unit ball the
     companion coincides with the original system."""
-    w = sys.weights[None, :]
-
-    def sat_rows(X: np.ndarray) -> np.ndarray:
-        nrm = np.linalg.norm(X * w, axis=-1, keepdims=True)
-        return X / np.maximum(nrm, 1.0)
-
-    def sat_vec(v: np.ndarray) -> np.ndarray:
-        nrm = np.linalg.norm(v)
-        return v / max(nrm, 1.0)
-
+    w = sys.weights
     f = sys.f
     L1 = f.lipschitz(1.0)
 
     def ev(x, v):
-        return f(sat_rows(np.asarray(x, float)[None, :])[0], sat_vec(np.asarray(v, float)))
-
-    def ev_batch(X, V):
-        Xs = sat_rows(np.asarray(X, float))
-        V = np.asarray(V, float)
-        nrm = np.linalg.norm(V, axis=-1, keepdims=True)
-        Vs = V / np.maximum(nrm, 1.0)
-        return f.batch(Xs, Vs)
+        # the retraction acts on the last axis, so leading axes are samples
+        x_nrm = np.linalg.norm(x * w, axis=-1, keepdims=True)
+        v_nrm = np.linalg.norm(v, axis=-1, keepdims=True)
+        return f.batch(x / np.maximum(x_nrm, 1.0), v / np.maximum(v_nrm, 1.0))
 
     f_sat = Nonlinearity(
         eval=ev,
-        eval_batch=ev_batch,
         lipschitz=lambda r: L1,
         growth_sigma=f.growth_sigma,
         growth_c=f.growth_c,

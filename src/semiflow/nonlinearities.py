@@ -31,12 +31,8 @@ __all__ = [
 def zero_nonlinearity(n_modes: int) -> Nonlinearity:
     """f identically zero: the evolution stays linear."""
 
-    def ev(x, v):
-        return np.zeros_like(x)
-
     return Nonlinearity(
-        eval=ev,
-        eval_batch=ev,
+        eval=lambda x, v: np.zeros_like(x),
         lipschitz=lambda r: 0.0,
         growth_sigma=KinfFunction.identity(),
         uniform_lipschitz=0.0,
@@ -52,12 +48,8 @@ def scalar_square(n_modes: int = 1) -> Nonlinearity:
     uniform constant exists and none is declared.
     """
 
-    def ev(x, v):
-        return np.asarray(x, float) ** 2
-
     return Nonlinearity(
-        eval=ev,
-        eval_batch=ev,
+        eval=lambda x, v: x ** 2,
         lipschitz=lambda r: 2.0 * r,
         growth_sigma=KinfFunction.identity(),
         input_modulus=KinfFunction.identity(),
@@ -78,10 +70,8 @@ def arctan_saturation(n_modes: int, gain: float = 1.0,
         raise ValueError("gain must be positive")
 
     def ev(x, v):
-        x = np.asarray(x, float)
         z = np.array(x)
         if input_gain != 0.0:
-            v = np.asarray(v, float)
             k = min(x.shape[-1], v.shape[-1])
             z[..., :k] += input_gain * v[..., :k]
         return gain * np.arctan(z)
@@ -90,7 +80,6 @@ def arctan_saturation(n_modes: int, gain: float = 1.0,
     sigma_scale = max(1.0, gain * abs(input_gain))
     return Nonlinearity(
         eval=ev,
-        eval_batch=ev,
         lipschitz=lambda r: L,
         growth_sigma=KinfFunction.power(1.0, sigma_scale),
         uniform_lipschitz=L,

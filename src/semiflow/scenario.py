@@ -156,11 +156,8 @@ _SOLVER = {
     "properties": {
         "substeps_per_window": {"type": "integer", "minimum": 8},
         "picard_tol": _POSITIVE,
-        "max_picard_iters": _INT_POS,
         "blowup_threshold": _POSITIVE,
-        "contraction_target": _POSITIVE,
         "max_window_bisections": _INT_POS,
-        "min_window": _POSITIVE,
         "window_cap": _POSITIVE,
     },
     "additionalProperties": False,

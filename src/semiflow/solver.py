@@ -8,7 +8,7 @@ On each window [0, t1] the fixed-point map
 
 is iterated from the free evolution T(tau) x0.  The window length is chosen
 so that the zero-class admissibility constant of the B2 channel times the
-local Lipschitz constant stays below the contraction target, and so that
+local Lipschitz constant stays below CONTRACTION_TARGET = 1/2, and so that
 the invariance ball around the window's start state is certified.  The
 window kernel gets the input as a polynomial p on the window (windows end
 on the breakpoints of a piecewise-constant u, the constant p = u(0) there).
@@ -156,6 +156,13 @@ DrivingSignal = Union[InputSignal, PolySignal]
 # times at this size, 33.6 times at 1024 entries and 32.6 at 4096.
 _WINDOW_MEMO_ENTRIES = 256
 
+# Picard iterations a window may take before it fails; on a certified
+# window each one shrinks the change by CONTRACTION_TARGET or more, and
+# 0.5^34 < 1e-10
+MAX_PICARD_ITERS = 60
+# the bound select_step holds c_t * L to on every window
+CONTRACTION_TARGET = 0.5
+
 
 @dataclass(frozen=True, eq=False)
 class EvolutionSystem:
@@ -253,10 +260,9 @@ class EvolutionSystem:
         cols = self.input_columns
         return cols[-1].stop if cols else 1
 
-    def b2_apply(self, g: np.ndarray) -> np.ndarray:
-        if self.B2 is None:
-            return g
-        return g @ self.B2.coeffs.T if g.ndim == 2 else self.B2.apply(g)
+    def b2_apply(self, G: np.ndarray) -> np.ndarray:
+        """B2 applied to each row of the (P, N) block G."""
+        return G if self.B2 is None else G @ self.B2.coeffs.T
 
     def working_norm(self, c: np.ndarray) -> float:
         """Norm of the raw X coefficients c in the working space."""
@@ -304,18 +310,13 @@ class SolverConfig:
 
     substeps_per_window: int = 64
     picard_tol: float = 1e-10
-    max_picard_iters: int = 60
     blowup_threshold: float = 1e6
-    contraction_target: float = 0.5
     max_window_bisections: int = 40
-    min_window: float = 1e-9
     window_cap: float = 1.0
 
     def __post_init__(self):
         if self.substeps_per_window < 8:
             raise ValueError("substeps_per_window must be >= 8")
-        if not 0.0 < self.contraction_target < 1.0:
-            raise ValueError("contraction target must lie in (0, 1)")
         if self.picard_tol <= 0 or self.blowup_threshold <= 0:
             raise ValueError("tolerances must be positive")
 
@@ -411,7 +412,7 @@ def select_step(sys: EvolutionSystem, K: float, u_sup: float,
     """Largest dyadic-bisected window length t1 = cap 2^-k <= cap (cap <= 1,
     k <= max_window_bisections) with
 
-    (a) c_{t1} * L(K') <= contraction target, and
+    (a) c_{t1} * L(K') <= CONTRACTION_TARGET (1/2), and
     (b) the invariance inequality of the ball of radius delta around the
         window's start state,
 
@@ -452,7 +453,6 @@ def select_step(sys: EvolutionSystem, K: float, u_sup: float,
     """
     cfg = cfg or SolverConfig()
     sg = sys.semigroup
-    theta = cfg.contraction_target
     delta = max(1.0, K)
     K_prime = K + delta
     L = sys.f.lipschitz(max(K_prime, u_sup))
@@ -466,7 +466,7 @@ def select_step(sys: EvolutionSystem, K: float, u_sup: float,
     def certified(k: int) -> bool:
         t = cap * 0.5 ** k
         gain = sys.gain(t)
-        if not gain * L <= theta:
+        if not gain * L <= CONTRACTION_TARGET:
             return False
         input_term = sum([h * s for h, s in zip(sys.input_gain(t), block_sups)])
         return (
@@ -518,7 +518,8 @@ def _picard_window_raw(sys: EvolutionSystem, x0: np.ndarray, p: PolySignal,
 
     Returns (tau, Y, iters, contraction) with Y in working coordinates
     (weighted by (omega - mu)^alpha in analytic mode) at each sub-grid
-    point.  Raises _WindowFailure on divergence or iteration exhaustion.
+    point.  Raises _WindowFailure on divergence or when MAX_PICARD_ITERS
+    iterations do not meet the stop.
     """
     tau = np.linspace(0.0, t1, cfg.substeps_per_window + 1)
     # row k of block i is B_i p_k: B u = sum_i B_i u_i
@@ -536,7 +537,7 @@ def _picard_window_raw(sys: EvolutionSystem, x0: np.ndarray, p: PolySignal,
     contraction = 0.0
     prev_delta = None
     conv = np.empty_like(y)
-    for k in range(cfg.max_picard_iters):
+    for k in range(MAX_PICARD_ITERS):
         g = sys.b2_apply(sys.f.batch(y / w, u_vals)) * w
         conv[0] = 0.0
         conv[1:] = _act(A1, g[:-1]) + _act(A2, g[1:])
@@ -550,7 +551,7 @@ def _picard_window_raw(sys: EvolutionSystem, x0: np.ndarray, p: PolySignal,
         if delta <= cfg.picard_tol * scale:
             return tau, y, k + 1, contraction
         prev_delta = delta
-    raise _WindowFailure(f"no convergence in {cfg.max_picard_iters} Picard iterations")
+    raise _WindowFailure(f"no convergence in {MAX_PICARD_ITERS} Picard iterations")
 
 
 def _window_diagnostics(sys: EvolutionSystem, t_start: float, t1: float,
@@ -574,7 +575,7 @@ def picard_window(sys: EvolutionSystem, x0: SpectralState,
 
     States come back in X coordinates regardless of mode; the observed
     Picard contraction factor is part of the diagnostics and stays below
-    the contraction target plus a 0.1 margin on certified windows.  A
+    CONTRACTION_TARGET (1/2) plus a 0.1 margin on certified windows.  A
     piecewise-constant u must not have a breakpoint inside (0, t1) (it
     raises ValueError): solve() splits its windows there.
     """
@@ -601,7 +602,13 @@ def picard_window(sys: EvolutionSystem, x0: SpectralState,
 def solve(sys: EvolutionSystem, x0: SpectralState, u: Optional[DrivingSignal],
           t_end: float, cfg: Optional[SolverConfig] = None,
           checkpoint_times: Optional[Sequence[float]] = None) -> Trajectory:
-    """March the mild solution to t_end (or to blow-up / failure)."""
+    """March the mild solution to t_end (or to blow-up / failure).
+
+    The status is failed when no window length passes select_step's
+    certificate, or when the Picard iteration fails on a window that passed
+    it: a true contraction certificate makes the iteration converge, so
+    that failure shows a false one (a declared Lipschitz constant below
+    f's)."""
     cfg = cfg or SolverConfig()
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -657,22 +664,12 @@ def solve(sys: EvolutionSystem, x0: SpectralState, u: Optional[DrivingSignal],
             break
         bis = max(0, int(round(math.log2(max(cap / t1, 1.0)))))
 
-        p = _window_poly(u_loc, t1)
-        result = None
-        while result is None:
-            try:
-                result = _picard_window_raw(sys, x, p, t1, cfg)
-            except _WindowFailure as e:
-                t1 *= 0.5
-                bis += 1
-                if t1 < cfg.min_window:
-                    status = Status.failed(
-                        f"window collapsed below {cfg.min_window}: {e}"
-                    )
-                    break
-        if result is None:
+        try:
+            tau, y, iters, contraction = _picard_window_raw(
+                sys, x, _window_poly(u_loc, t1), t1, cfg)
+        except _WindowFailure as e:
+            status = Status.failed(f"certified window [{t:.6g}, {t + t1:.6g}]: {e}")
             break
-        tau, y, iters, contraction = result
 
         diags.append(_window_diagnostics(sys, t, t1, K, u_sup, iters,
                                          contraction, bis))

@@ -63,6 +63,25 @@ def test_shape_normalization_and_guards():
                               np.ones((8, 1)) / 64.0, np.zeros((8, 1)))
 
 
+def test_lifting_and_formal_ar_are_copied():
+    # scaling the caller's arrays after construction must change neither
+    # lift nor the trace computed from the lifting at construction
+    sg = dirichlet_heat_0_pi(8).semigroup
+    R = 1.0 / np.arange(1, 9) ** 2
+    AR = np.ones(8)
+    bcs = BoundaryControlSystem(sg, R, AR)
+    R *= 2.0
+    AR *= 2.0
+    assert bcs.boundary_trace(bcs.lift([1.0])) == pytest.approx([1.0])
+    assert np.array_equal(bcs.lifting[:, 0], 1.0 / np.arange(1, 9) ** 2)
+    assert np.all(bcs.formal_ar == 1.0)
+    # a multi-channel array in Fortran order is stored C-ordered, read-only
+    two = BoundaryControlSystem(sg, np.asfortranarray(np.ones((8, 2)) / 64.0),
+                                np.zeros((8, 2)))
+    for a in (bcs.lifting, bcs.formal_ar, two.lifting, two.formal_ar):
+        assert a.flags.c_contiguous and not a.flags.writeable
+
+
 def test_boundary_trace_inverts_lift():
     bcs = dirichlet_heat_0_pi(24)
     v = np.array([0.37])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 from semiflow.cli import main
+from semiflow.solver import SolverConfig
 from semiflow.scenario import COMMAND_SCHEMAS, ScenarioError, load_scenario
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -27,6 +29,17 @@ def test_load_all_repo_scenarios():
     for name in names:
         sc = load_scenario(repo_scenario(name))
         assert sc["task"] in COMMAND_SCHEMAS
+
+
+def test_solver_schema_keys_are_the_config_fields():
+    # a key the config lacks would fail at run time, a field the schema
+    # lacks could not be set from a scenario
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert set(COMMAND_SCHEMAS["solve"]["properties"]["solver"]["properties"]) == fields
+    for schema in COMMAND_SCHEMAS.values():
+        solver = schema["properties"].get("solver")
+        if solver is not None:
+            assert set(solver["properties"]) == fields
 
 
 def test_unknown_task_message(tmp_path):

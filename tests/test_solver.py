@@ -40,6 +40,8 @@ import semiflow.solver as solver_module
 from semiflow.solver import (
     _CSV_BLOCK_ROWS,
     _WINDOW_MEMO_ENTRIES,
+    CONTRACTION_TARGET,
+    MAX_PICARD_ITERS,
     StepSelectionError,
     _mittag_leffler,
     _picard_window_raw,
@@ -174,7 +176,7 @@ def _sequential_window(sys, x0, t1, cfg):
     y = free
     u = np.zeros((S + 1, 1))
     scale = max(1.0, float(np.max(np.linalg.norm(free, axis=1))))
-    for k in range(cfg.max_picard_iters):
+    for k in range(MAX_PICARD_ITERS):
         g = sys.f.batch(y, u)
         conv = np.zeros_like(y)
         for j in range(S):
@@ -327,7 +329,7 @@ def _scan_reference(sys, K, u_sup, cfg, x, cap, block_sups):
         inv = (sys.semigroup.sg_distance(t, x, sys.alpha)
                + sum([h * s for h, s in zip(fresh.input_gain(t), block_sups)])
                + gain * rest)
-        if gain * L <= cfg.contraction_target and inv <= delta:
+        if gain * L <= CONTRACTION_TARGET and inv <= delta:
             return t
     return None
 
@@ -413,7 +415,7 @@ def test_select_step_dense_warm_start_is_certified_and_not_longer(seed, previous
     L = sys.f.lipschitz(max(K + delta, u_sup))
     c_t = _phi1_bound(sys.semigroup.lam, t1)
     h_t = np.linalg.norm(sys.B.coeffs, 2) * c_t
-    assert c_t * L <= cfg.contraction_target
+    assert c_t * L <= CONTRACTION_TARGET
     drift = np.linalg.norm(scipy.linalg.expm(sys.semigroup.A * t1) @ x - x)
     rest = L * (K + delta) + sys.f.growth_sigma(u_sup) + sys.f.growth_c
     assert drift + h_t * u_sup + c_t * rest <= delta * (1.0 + 1e-12)
@@ -692,6 +694,32 @@ def test_global_bound_dominates_trajectories():
         assert traj.sup_norm() <= bound
 
 
+def test_global_bound_window_search_bisects():
+    # arctan with gain 4 on the heat semigroup (lam = 0, so c_1 = 1) has
+    # c_1 L = 4: c_t L <= 1/2 first holds three halvings down, at t = 1/8
+    sg = heat_dirichlet_semigroup(8)
+    sys = EvolutionSystem(sg, arctan_saturation(8, gain=4.0),
+                          B=InputOperator(np.eye(8), Bounded()))
+    assert sys.gain(1.0) * sys.f.uniform_lipschitz == 4.0
+    bound = global_bound(sys, 1.0, 1.0, 1.0)
+    assert sorted(t for kind, t in sys._window_memo if kind == "c") == \
+        [0.125, 0.25, 0.5, 1.0]
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x0 = rng.normal(size=8)
+        x0 /= max(np.linalg.norm(x0), 1.0)
+        vals = rng.normal(size=(4, 8))
+        vals /= np.maximum(np.linalg.norm(vals, axis=1, keepdims=True), 1.0)
+        traj = solve(sys, SpectralState(x0), InputSignal(np.linspace(0.0, 1.0, 5), vals),
+                     1.0, SolverConfig(substeps_per_window=16))
+        assert traj.status.kind == "completed"
+        assert traj.sup_norm() <= bound
+    # c_t L = 1e13 t stays above 1/2 at every one of the 41 candidates
+    stiff = EvolutionSystem(sg, arctan_saturation(8, gain=1e13))
+    with pytest.raises(StepSelectionError, match="no window with c_t"):
+        global_bound(stiff, 1.0, 0.0, 1.0)
+
+
 def test_global_bound_needs_uniform_lipschitz():
     sg = DiagonalSemigroup(mu=np.array([-1.0]), omega=1.0)
     sys = EvolutionSystem(sg, scalar_square(1))
@@ -799,8 +827,8 @@ def test_constant_input_solve_is_the_closed_form_bit_for_bit():
 
 def _linear_f(n_modes, a):
     """f(x, v) = a x: the window's Picard error scales with the state."""
-    return Nonlinearity(eval=lambda x, v: a * x, eval_batch=lambda X, V: a * X,
-                        lipschitz=lambda r: abs(a), growth_sigma=KinfFunction.identity(),
+    return Nonlinearity(eval=lambda x, v: a * x, lipschitz=lambda r: abs(a),
+                        growth_sigma=KinfFunction.identity(),
                         uniform_lipschitz=abs(a), label="linear")
 
 
@@ -817,6 +845,44 @@ def test_picard_stop_is_relative_to_the_window_scale():
     _, y_big, iters_big, _ = _picard_window_raw(sys, 1e6 * x0, p, 0.5, cfg)
     assert iters_big == iters
     assert np.allclose(y_big, 1e6 * y, rtol=1e-12, atol=0.0)
+
+
+def test_b2_channel_matches_the_matrix_exponential():
+    # x' = A x + P (a x) with a non-symmetric bounded P is the linear ODE
+    # x' = (A + a P) x.  The kernel's only error is the O(h^2) reconstruction
+    # of f on the sub-grid: measured sup over the samples 7.34e-6 at S = 16
+    # and 1.84e-6 at S = 32.  Applying P^T instead moves x(1) by 0.26.
+    mu = np.array([-1.0, -2.0, -3.0, -4.0])
+    P = np.array([[0.0, 1.0, 0.5, 0.0], [0.0, 0.0, 1.0, 0.5],
+                  [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+    a = 0.8
+    sys = EvolutionSystem(DiagonalSemigroup(mu=mu, omega=1.0), _linear_f(4, a),
+                          B2=InputOperator(P, Bounded()))
+    x0 = np.array([1.0, 0.5, -0.3, 0.2])
+    errors = []
+    for S in (16, 32):
+        traj = solve(sys, SpectralState(x0), None, 1.0, SolverConfig(substeps_per_window=S))
+        assert traj.status.kind == "completed"
+        errors.append(max(
+            np.linalg.norm(c - scipy.linalg.expm((np.diag(mu) + a * P) * t) @ x0)
+            for t, c in zip(traj.times, traj.coeffs)))
+    assert errors[0] <= 1e-5
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
+
+
+def test_picard_failure_on_a_certified_window_fails_the_solve():
+    # f = 40 x declared 0.01-Lipschitz: select_step certifies the whole
+    # [0, 1], where the Picard iteration diverges.  The solve must fail
+    # there and name the window, not halve it until the false certificate
+    # no longer shows (that used to end in blowup at t = 0.34375).
+    liar = Nonlinearity(eval=lambda x, v: 40.0 * x, lipschitz=lambda r: 0.01,
+                        growth_sigma=KinfFunction.identity(), label="liar")
+    sys = EvolutionSystem(heat_dirichlet_semigroup(4), liar)
+    traj = solve(sys, SpectralState(np.ones(4)), None, 1.0,
+                 SolverConfig(substeps_per_window=16))
+    assert traj.status.kind == "failed"
+    assert traj.status.reason == "certified window [0, 1]: Picard iteration diverged"
+    assert traj.diagnostics == [] and traj.times.tolist() == [0.0]
 
 
 def _blocks_system(dense: bool, zero_block: bool):
@@ -928,8 +994,6 @@ def test_solve_requires_input_to_reach_horizon():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(substeps_per_window=4)
-    with pytest.raises(ValueError):
-        SolverConfig(contraction_target=1.5)
     with pytest.raises(ValueError):
         SolverConfig(picard_tol=0.0)
 
