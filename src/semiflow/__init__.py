@@ -34,7 +34,6 @@ from .admissibility import (
     c_constant,
     convolve,
     estimate_admissibility,
-    ladder_divergence_ratio,
     measure_h,
     upper_bound_h,
 )

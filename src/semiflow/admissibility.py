@@ -126,20 +126,6 @@ class InputOperator:
         return InputOperator(np.eye(n_modes), Bounded())
 
 
-def ladder_divergence_ratio(sys: DiagonalSemigroup, coeffs: np.ndarray,
-                            beta: float) -> float:
-    """Fraction of the weighted Frobenius mass carried by the last mode octave.
-
-    Used as the truncation-ladder heuristic: a ratio near 1 flags a weighted
-    norm that keeps growing with the cutoff, i.e. a declared class the
-    coefficients do not support.
-    """
-    c = np.asarray(coeffs, float)
-    if c.ndim == 1:
-        c = c[:, None]
-    return _upper_half_share(sys.frac_weights(beta)[:, None] * c)
-
-
 def _upper_half_share(wc: np.ndarray) -> float:
     """Fraction of the Frobenius mass of the rows wc in the upper half."""
     mass = np.sum(wc ** 2, axis=1)
@@ -193,33 +179,36 @@ def convolve(sys: DiagonalSemigroup, B: InputOperator, u: InputSignal,
     return out
 
 
+# cells of measure_h's q = inf sign patterns: 2^8 probes per channel
+_PROBE_CELLS = 8
+
+
 def measure_h(sys: DiagonalSemigroup, B: InputOperator, t: float,
-              q: float = np.inf, k_cells: int = 8) -> Tuple[float, float]:
+              q: float = np.inf) -> Tuple[float, float]:
     """Bracket the admissibility constant h_t = sup_{|u|_q <= 1} |Phi_t u|.
 
-    Lower bound: best probe from a finite family (sign patterns on k_cells
-    for q = inf, normalized single-cell impulses for q = 2).  Phi_t is
-    linear, so the q = inf family is one (N, 2^k_cells) array per channel,
-    its cells added in convolve's order, and an impulse's response is one
-    column times one cell kernel.  Upper bound: window_constant at order 0
-    (q = inf), Cauchy-Schwarz (q = 2).  The pair is returned as computed: a
-    lower bound above the upper one exposes a growth certificate (M, lam)
-    that does not hold.
+    Lower bound: best probe from a finite family (sign patterns on
+    _PROBE_CELLS equal cells for q = inf, normalized single-cell impulses
+    for q = 2).  Phi_t is linear, so the q = inf family is one
+    (N, 2^_PROBE_CELLS) array per channel, its cells added in convolve's
+    order, and an impulse's response is one column times one cell kernel.
+    Upper bound: window_constant at order 0 (q = inf), Cauchy-Schwarz
+    (q = 2).  The pair is returned as computed: a lower bound above the
+    upper one exposes a growth certificate (M, lam) that does not hold.
     """
     if t < 0:
         raise ValueError("negative time")
     if q not in (2.0, np.inf):
         raise ValueError("probe families implemented for q in {2, inf}")
-    if k_cells > 12:
-        raise ValueError("probe family capped at 12 cells")
     if t == 0.0:
         return 0.0, 0.0
     lower = 0.0
     if q == np.inf:
-        grid = np.linspace(0.0, t, k_cells + 1)
-        kernels = [_cell_kernel(sys.mu, t, grid[i], grid[i + 1]) for i in range(k_cells)]
+        k = _PROBE_CELLS
+        grid = np.linspace(0.0, t, k + 1)
+        kernels = [_cell_kernel(sys.mu, t, grid[i], grid[i + 1]) for i in range(k)]
         # column `mask` carries sign +1 on cell i where bit i of mask is set
-        bits = np.arange(2 ** k_cells)[None, :] >> np.arange(k_cells)[:, None] & 1
+        bits = np.arange(2 ** k)[None, :] >> np.arange(k)[:, None] & 1
         signs = np.where(bits == 1, 1.0, -1.0)
         for b in B.coeffs.T:
             resp = np.zeros((sys.n_modes, signs.shape[1]))
@@ -258,9 +247,9 @@ def _op_norm(sg, op: Optional[InputOperator], beta: float) -> float:
 
 def singular_kernel(sg: DiagonalSemigroup, beta: float) -> Tuple[float, float]:
     """(C, kappa_+): |(omega*I - A)^beta T(s)| <= C s^-beta e^{kappa s} on
-    (0, 1] for kappa = omega0 + 1, and e^{kappa s} <= e^{kappa_+ t} on [0, t]."""
-    kappa = sg.omega0 + 1.0
-    return sg.smoothing_constant(beta, kappa=kappa), max(kappa, 0.0)
+    (0, 1] for kappa = omega0 + 1, the constant smoothing_constant(beta)
+    certifies, and e^{kappa s} <= e^{kappa_+ t} on [0, t]."""
+    return sg.smoothing_constant(beta), max(sg.omega0 + 1.0, 0.0)
 
 
 def _smoothing_bound(sg: DiagonalSemigroup, op: Optional[InputOperator],
@@ -366,13 +355,13 @@ class AdmissibilityEstimate:
 
 def estimate_admissibility(sys: DiagonalSemigroup, B: InputOperator,
                            t_grid: Optional[np.ndarray] = None,
-                           q: float = np.inf, k_cells: int = 8) -> AdmissibilityEstimate:
-    """Sweep measured h_t lower bounds over a dyadic grid and fit the rate."""
+                           q: float = np.inf) -> AdmissibilityEstimate:
+    """Sweep measured h_t lower bounds (measure_h, whose q = inf probes use
+    _PROBE_CELLS cells) over a dyadic grid and fit the rate."""
     if t_grid is None:
         t_grid = 2.0 ** np.arange(-14.0, -1.0)
     t_grid = np.sort(np.asarray(t_grid, float))
-    lows = np.array([measure_h(sys, B, float(t), q=q, k_cells=k_cells)[0]
-                     for t in t_grid])
+    lows = np.array([measure_h(sys, B, float(t), q=q)[0] for t in t_grid])
     lows = np.maximum.accumulate(lows)
     pos = lows > 0
     if np.count_nonzero(pos) >= 2:

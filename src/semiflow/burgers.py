@@ -102,11 +102,11 @@ class BurgersSystem:
     """
 
     def __init__(self, n_modes: int, local: Optional[LocalTerm] = None,
-                 omega: float = 1.0, n_grid: Optional[int] = None):
+                 n_grid: Optional[int] = None):
         self.N = int(n_modes)
         self.local = local if local is not None else make_local_term("zero")
         self.basis = SineBasis(self.N, n_grid)
-        self.semigroup = heat_dirichlet_semigroup(self.N, omega=omega)
+        self.semigroup = heat_dirichlet_semigroup(self.N)
         self.h_samples = np.asarray(self.local.envelope(self.basis.z), float)
         if self.h_samples.shape != self.basis.z.shape:
             raise ValueError("envelope must return one sample per grid point")
@@ -190,17 +190,13 @@ class BurgersSystem:
 
     # -- input operators ---------------------------------------------------
 
-    def lifting_coeffs(self) -> np.ndarray:
-        """Sine coefficients of the boundary lifting profile 1 - z/pi."""
-        n = np.arange(1, self.N + 1, dtype=float)
-        return self.basis.scale / n
-
     def boundary_operator(self, alpha: float = 0.2) -> InputOperator:
         """Scalar Dirichlet input operator, mode coefficients n sqrt(2/pi).
 
         Obtained by pushing the lifting profile through the generator: the
         profile is harmonic, so only the extrapolated -A R part survives
-        and b_n = n^2 * (lifting)_n.  The coefficient ladder supports a
+        and b_n = n^2 * (lifting)_n, with the lifting sqrt(2/pi)/n of
+        bcs.dirichlet_heat_0_pi.  The coefficient ladder supports a
         smoothness declaration strictly below 1/4; larger values are
         refused rather than silently declared.
         """

@@ -218,12 +218,10 @@ def stack_channels(u1: InputSignal, u2: InputSignal) -> InputSignal:
     return InputSignal(grid, values)
 
 
-def signal_sup_distance(u1: InputSignal, u2: InputSignal, t1: Optional[float] = None) -> float:
+def signal_sup_distance(u1: InputSignal, u2: InputSignal, t1: float) -> float:
     """sup_[0,t1] |u1 - u2| over the merged cell grid (exact for pc signals)."""
     if u1.m != u2.m:
         raise ValueError("channel count mismatch")
-    if t1 is None:
-        t1 = min(u1.horizon, u2.horizon)
     pts = np.union1d(u1.grid, u2.grid)
     pts = pts[(pts >= 0.0) & (pts < t1 - 1e-15)]
     pts = np.union1d(pts, [0.0])

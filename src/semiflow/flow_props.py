@@ -393,11 +393,12 @@ def check_continuous_dependence(sys: EvolutionSystem, pairs, tau: float,
         growth = 2.0 * sg.M * math.exp(sg.lam * t1)
         bound_w = growth * dx + 2.0 * h_t1 * du_w + q(du_w)
 
+        devs = [sys.working_norm(r1.state_at(t).coeffs - r2.state_at(t).coeffs)
+                for t in cps]
         ratio_i, info = 0.0, {}
-        for t in cps:
+        for t, dev in zip(cps, devs):
             if t > t1 + 1e-13:
                 break
-            dev = sys.working_norm(r1.state_at(t).coeffs - r2.state_at(t).coeffs)
             r = 0.0 if bound_w < 1e-14 and dev < 1e-12 else dev / max(bound_w, 1e-300)
             if r > ratio_i:
                 ratio_i = r
@@ -412,9 +413,7 @@ def check_continuous_dependence(sys: EvolutionSystem, pairs, tau: float,
             if D > 1e300:
                 D = math.inf
                 break
-        sup_dev = max(
-            sys.working_norm(r1.state_at(t).coeffs - r2.state_at(t).coeffs)
-            for t in cps)
+        sup_dev = max(devs)
         r_prop = 0.0 if D == math.inf else (
             0.0 if D < 1e-14 and sup_dev < 1e-12 else sup_dev / max(D, 1e-300))
         ratio_i = max(ratio_i, r_prop)
@@ -444,7 +443,7 @@ def saturated_system(sys: EvolutionSystem) -> EvolutionSystem:
         # the retraction acts on the last axis, so leading axes are samples
         x_nrm = np.linalg.norm(x * w, axis=-1, keepdims=True)
         v_nrm = np.linalg.norm(v, axis=-1, keepdims=True)
-        return f.batch(x / np.maximum(x_nrm, 1.0), v / np.maximum(v_nrm, 1.0))
+        return f(x / np.maximum(x_nrm, 1.0), v / np.maximum(v_nrm, 1.0))
 
     f_sat = Nonlinearity(
         eval=ev,

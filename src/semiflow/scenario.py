@@ -515,7 +515,7 @@ def _check_traj_expect(expect: Optional[dict], traj: Trajectory) -> List[str]:
     return bad
 
 
-def _finish(out_dir: str, mismatches: List[str], quiet: bool, summary: str) -> int:
+def _finish(mismatches: List[str], quiet: bool, summary: str) -> int:
     if not quiet and summary:
         print(summary)
     if mismatches:
@@ -525,11 +525,10 @@ def _finish(out_dir: str, mismatches: List[str], quiet: bool, summary: str) -> i
     return 0
 
 
-def _finish_traj(out_dir: str, expect: Optional[dict], traj: Trajectory,
-                 quiet: bool, summary: str) -> int:
+def _finish_traj(expect: Optional[dict], traj: Trajectory, quiet: bool, summary: str) -> int:
     """_finish for solve and burgers runs.  A run whose window certificate
     failed exits 3, whatever else held, unless expect.status is "failed"."""
-    code = _finish(out_dir, _check_traj_expect(expect, traj), quiet, summary)
+    code = _finish(_check_traj_expect(expect, traj), quiet, summary)
     if traj.status.kind != "failed" or (expect or {}).get("status") == "failed":
         return code
     print(f"certification failed: {traj.status.reason}", file=sys.stderr)
@@ -553,7 +552,7 @@ def _run_solve(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
     trajectory_diagnostics_json(traj, os.path.join(out_dir, "diagnostics.json"))
     summary = (f"solve: status={traj.status.kind} t_final={traj.times[-1]:.6g} "
                f"samples={traj.n_samples} windows={len(traj.diagnostics)}")
-    return _finish_traj(out_dir, sc.get("expect"), traj, quiet, summary)
+    return _finish_traj(sc.get("expect"), traj, quiet, summary)
 
 
 def _run_burgers(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
@@ -595,7 +594,7 @@ def _run_burgers(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
             _write_rows(fh, [z, v])
     summary = (f"burgers: status={traj.status.kind} t_final={traj.times[-1]:.6g} "
                f"samples={traj.n_samples}")
-    return _finish_traj(out_dir, sc.get("expect"), traj, quiet, summary)
+    return _finish_traj(sc.get("expect"), traj, quiet, summary)
 
 
 def _run_props(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
@@ -645,7 +644,7 @@ def _run_props(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
     allowed = set((sc.get("expect") or {}).get("expected_fail", []))
     bad = [f"check {r.name} failed (worst ratio {r.worst_ratio:.6g})"
            for r in reports if not r.passed and r.name not in allowed]
-    return _finish(out_dir, bad, quiet, text.rstrip("\n"))
+    return _finish(bad, quiet, text.rstrip("\n"))
 
 
 def _dependence_pairs(sys_: EvolutionSystem, p: dict, seed: int):
@@ -705,7 +704,7 @@ def _run_admissibility(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> 
         bad.append(
             f"fitted exponent {est.fitted_exponent:.4f} outside {expect['slope']}")
     summary = f"admissibility: fitted exponent {est.fitted_exponent:.4f}"
-    return _finish(out_dir, bad, quiet, summary)
+    return _finish(bad, quiet, summary)
 
 
 def _run_bcs(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
@@ -762,7 +761,7 @@ def _run_bcs(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
             f"expected passed={expect['passed']}")
     summary = (f"bcs: max pairwise difference {report.max_difference:.3g} "
                f"over {len(report.times)} checkpoints")
-    return _finish(out_dir, bad, quiet, summary)
+    return _finish(bad, quiet, summary)
 
 
 _RUNNERS = {

@@ -188,37 +188,30 @@ class DiagonalSemigroup:
             return float(np.max(np.exp(self.mu * 0.0)))
         return float(np.max(self.frac_weights(alpha) * np.exp(self.mu * t)))
 
-    def smoothing_constant(self, beta: float, kappa: Optional[float] = None,
-                           t_max: float = 1.0) -> float:
+    def smoothing_constant(self, beta: float) -> float:
         """Constant C with |(omega*I-A)^beta T(t)| <= C t^-beta e^{kappa t}
-        on (0, t_max], exact: the sup over (0, t_max] of
-        t^beta frac_T_norm(beta, t) e^{-kappa t}.  kappa defaults to
-        omega0 + 1.
+        on (0, 1] for kappa = omega0 + 1, exact: the sup over (0, 1] of
+        t^beta frac_T_norm(beta, t) e^{-kappa t}.
 
         The sup over t of a max over modes is the max over modes of
-        sup_t (omega - mu_n)^beta t^beta e^{-(kappa - mu_n) t}.  For
-        kappa > mu_n that function rises to its peak at
-        t* = beta / (kappa - mu_n) and falls after it, so its sup on
-        (0, t_max] sits at min(t*, t_max); for kappa <= mu_n it rises
-        throughout and the sup sits at t_max.
+        sup_t (omega - mu_n)^beta t^beta e^{-(kappa - mu_n) t}.  That
+        function rises to its peak at t* = beta / (kappa - mu_n) and falls
+        after it; the rate kappa - mu_n is at least 1 > beta, so t* < 1 and
+        the peak is the sup (and it bounds the sup over all t > 0 anyway).
         """
-        if kappa is None:
-            kappa = self.omega0 + 1.0
         if beta == 0.0:
             return self.M
         if not 0.0 < beta < 1.0:
             raise ValueError("smoothing norm defined for beta in [0, 1)")
         if not self.analytic:
             raise ValueError("fractional smoothing norms need an analytic semigroup")
-        key = (beta, kappa, t_max)
-        cached = self._sc_cache.get(key)
+        cached = self._sc_cache.get(beta)
         if cached is not None:
             return cached
-        rate = kappa - self.mu
-        # min(t*, t_max), and t_max wherever rate <= beta / t_max
-        t = np.minimum(beta / np.maximum(rate, beta / t_max), t_max)
+        rate = self.omega0 + 1.0 - self.mu
+        t = beta / rate
         value = float(np.max(self.frac_weights(beta) * t ** beta * np.exp(-rate * t)))
-        self._sc_cache[key] = value
+        self._sc_cache[beta] = value
         return value
 
     def sg_distance(self, t: float, coeffs: np.ndarray, alpha: float = 0.0) -> float:
@@ -294,12 +287,13 @@ class DenseGenerator:
     certificate uses the 2-logarithmic norm: |e^{At}| <= e^{mu2(A) t}
     with mu2 = lambda_max((A + A^T)/2), so M = 1 and lam = max(0, mu2).
     Every operator into this finite state space is bounded, so X_{-1} = X.
+    The smoothing constants are diagonal-only, so every window constant
+    of a dense system is the truncation bound.
     """
 
     A: np.ndarray
     M: float = 1.0
     lam: Optional[float] = None
-    analytic: bool = False
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float).copy()
@@ -315,11 +309,6 @@ class DenseGenerator:
     @property
     def n_modes(self) -> int:
         return self.A.shape[0]
-
-    @cached_property
-    def omega0(self) -> float:
-        """Spectral bound of A (A is read-only, so computed once)."""
-        return float(np.max(np.linalg.eigvals(self.A).real))
 
     def _expm(self, t: float) -> np.ndarray:
         """e^{At}, read-only and memoised on the exact float t."""

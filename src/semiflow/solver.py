@@ -62,7 +62,6 @@ __all__ = [
     "Trajectory",
     "StepSelectionError",
     "select_step",
-    "picard_window",
     "solve",
     "solve_analytic",
     "global_bound",
@@ -319,6 +318,8 @@ class SolverConfig:
             raise ValueError("substeps_per_window must be >= 8")
         if self.picard_tol <= 0 or self.blowup_threshold <= 0:
             raise ValueError("tolerances must be positive")
+        if not self.window_cap > 0:
+            raise ValueError("window_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -554,47 +555,6 @@ def _picard_window_raw(sys: EvolutionSystem, x0: np.ndarray, p: PolySignal,
     raise _WindowFailure(f"no convergence in {MAX_PICARD_ITERS} Picard iterations")
 
 
-def _window_diagnostics(sys: EvolutionSystem, t_start: float, t1: float,
-                        K: float, u_sup: float, iters: int,
-                        contraction: float, bisections: int) -> WindowDiagnostics:
-    """The constants select_step certified the window with, plus what the
-    Picard iteration observed on it."""
-    delta = max(1.0, K)
-    return WindowDiagnostics(
-        t_start=t_start, t1=t1, K=K, delta=delta,
-        lipschitz=sys.f.lipschitz(max(K + delta, u_sup)), c_t=sys.gain(t1),
-        picard_iters=iters, contraction_observed=contraction,
-        bisections=bisections,
-    )
-
-
-def picard_window(sys: EvolutionSystem, x0: SpectralState,
-                  u: Optional[DrivingSignal], t1: float,
-                  cfg: Optional[SolverConfig] = None):
-    """Solve one window [0, t1]; returns (times, states, WindowDiagnostics).
-
-    States come back in X coordinates regardless of mode; the observed
-    Picard contraction factor is part of the diagnostics and stays below
-    CONTRACTION_TARGET (1/2) plus a 0.1 margin on certified windows.  A
-    piecewise-constant u must not have a breakpoint inside (0, t1) (it
-    raises ValueError): solve() splits its windows there.
-    """
-    cfg = cfg or SolverConfig()
-    if t1 <= 0:
-        raise ValueError("window length must be positive")
-    if u is None:
-        u = InputSignal.zero(sys.input_channels, t1)
-    p = _window_poly(u, t1)
-    try:
-        tau, y, iters, contraction = _picard_window_raw(sys, x0.coeffs, p, t1, cfg)
-    except _WindowFailure as e:
-        raise RuntimeError(str(e)) from e
-    coeffs = y / sys.weights[None, :]
-    diag = _window_diagnostics(sys, 0.0, t1, sys.working_norm(x0.coeffs),
-                               u.sup_norm(0.0, t1), iters, contraction, 0)
-    return tau, [SpectralState(c) for c in coeffs], diag
-
-
 # ---------------------------------------------------------------------------
 # the window-chaining driver
 
@@ -671,8 +631,11 @@ def solve(sys: EvolutionSystem, x0: SpectralState, u: Optional[DrivingSignal],
             status = Status.failed(f"certified window [{t:.6g}, {t + t1:.6g}]: {e}")
             break
 
-        diags.append(_window_diagnostics(sys, t, t1, K, u_sup, iters,
-                                         contraction, bis))
+        delta = max(1.0, K)
+        diags.append(WindowDiagnostics(
+            t_start=t, t1=t1, K=K, delta=delta,
+            lipschitz=sys.f.lipschitz(max(K + delta, u_sup)), c_t=sys.gain(t1),
+            picard_iters=iters, contraction_observed=contraction, bisections=bis))
 
         coeffs = y / w
         norms_w = np.linalg.norm(y, axis=1)
@@ -720,14 +683,14 @@ def solve_analytic(sys: EvolutionSystem, x0: SpectralState,
 # a-priori trajectory bounds
 
 
-def _mittag_leffler(beta: float, z: float, max_terms: int = 600) -> float:
+def _mittag_leffler(beta: float, z: float) -> float:
     """E_beta(z) = sum_k z^k / Gamma(1 + beta k) for z >= 0; inf, still a bound,
-    when a term overflows or max_terms terms do not meet the stopping rule."""
+    when a term overflows or 600 terms do not meet the stopping rule."""
     if z <= 0.0:
         return 1.0
     acc = 0.0
     logz = math.log(z)
-    for k in range(max_terms):
+    for k in range(600):
         try:
             term = math.exp(k * logz - scipy.special.gammaln(1.0 + beta * k))
         except OverflowError:
@@ -744,11 +707,13 @@ def global_bound(sys: EvolutionSystem, x0_norm: float, u_norm: float,
 
     General mode iterates the reachability window estimate
 
-        b <- 2 (M e^{lam t1} b + h_{t1} |u| + c_{t1} (sigma(|u|) + c))
+        b <- (M e^{lam t1} b + h_{t1} |u| + c_{t1} (sigma(|u|) + c)) / (1 - theta)
 
-    over ceil(t/t1) windows with c_{t1} L <= 1/2, h_{t1} the sum of the
-    input blocks' constants (|u| bounds each block's sup); it needs a
-    uniform Lipschitz certificate.  Analytic mode combines the linear-growth
+    over ceil(t/t1) windows with c_{t1} L <= theta = CONTRACTION_TARGET
+    (the window's state x then has |x| <= M e^{lam t1} b + h_{t1} |u|
+    + c_{t1} (L |x| + sigma(|u|) + c)), h_{t1} the sum of the input
+    blocks' constants (|u| bounds each block's sup); it needs a uniform
+    Lipschitz certificate.  Analytic mode combines the linear-growth
     certificate with a singular-kernel comparison (Mittag-Leffler)
     envelope for the X_alpha norm.
     """
@@ -763,18 +728,18 @@ def global_bound(sys: EvolutionSystem, x0_norm: float, u_norm: float,
     if alpha == 0.0:
         t1 = min(cfg.window_cap, t)
         for _ in range(cfg.max_window_bisections + 1):
-            if sys.gain(t1) * L <= 0.5:
+            if sys.gain(t1) * L <= CONTRACTION_TARGET:
                 break
             t1 *= 0.5
         else:
-            raise StepSelectionError("no window with c_t * L <= 1/2")
+            raise StepSelectionError(f"no window with c_t * L <= {CONTRACTION_TARGET}")
         n_windows = max(1, math.ceil(t / t1 - 1e-12))
         growth = sg.M * math.exp(sg.lam * t1)
         h_t1 = sum(sys.input_gain(t1))
         c_t1 = sys.gain(t1)
         b = x0_norm
         for _ in range(n_windows):
-            b = 2.0 * (growth * b + h_t1 * u_norm + c_t1 * sigma_u)
+            b = (growth * b + h_t1 * u_norm + c_t1 * sigma_u) / (1.0 - CONTRACTION_TARGET)
         return b
 
     C, kappa_plus = singular_kernel(sg, alpha)

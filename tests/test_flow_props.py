@@ -188,6 +188,21 @@ def test_saturated_system_coincides_inside_unit_ball():
     assert sat.f.label.endswith("_saturated")
 
 
+def test_saturated_system_evaluates_f_once_per_picard_iteration(monkeypatch):
+    # the companion calls the original f directly, so each Picard iteration
+    # makes one Nonlinearity.batch call (the kernel's) and counts its rows once
+    calls = []
+    batch = Nonlinearity.batch
+    monkeypatch.setattr(Nonlinearity, "batch",
+                        lambda self, X, V: calls.append(self.label) or batch(self, X, V))
+    sat = saturated_system(arctan_system(n_modes=4))
+    traj = solve(sat, SpectralState(np.full(4, 0.5)), None, 0.5,
+                 SolverConfig(substeps_per_window=16))
+    assert traj.status.kind == "completed"
+    assert len(calls) == sum(d.picard_iters for d in traj.diagnostics)
+    assert set(calls) == {sat.f.label}
+
+
 def test_cep_requires_equilibrium():
     sg = heat_dirichlet_semigroup(4)
     shifted = Nonlinearity(

@@ -89,7 +89,7 @@ def test_frac_T_norm_guards():
 
 def test_smoothing_constant_closed_form_heat():
     # per mode sup_t t^a (1+n^2)^a e^{-n^2 t} peaks at t = a/n^2 with value
-    # a^a e^{-a} ((1+n^2)/n^2)^a, maximized by n = 1; kappa defaults to
+    # a^a e^{-a} ((1+n^2)/n^2)^a, maximized by n = 1; kappa is
     # omega0 + 1 = 0 for the heat family
     sg = heat_dirichlet_semigroup(64)
     for alpha in (0.25, 0.5, 0.75):
@@ -132,22 +132,22 @@ def test_smoothing_constant_is_above_the_sampled_value():
 
 
 _SPECTRA = [
-    (heat_dirichlet_semigroup(16), None, 1.0),
-    (DiagonalSemigroup(mu=-np.sort(np.random.default_rng(1).uniform(0.5, 400.0, 24)),
-                       omega=1.0, analytic=True), None, 1.0),
-    # kappa below a mode's rate (sup at t_max) and peaks cut off by t_max
-    (DiagonalSemigroup(mu=np.array([0.5, -1.0, -30.0]), omega=1.0, analytic=True), 0.0, 0.05),
+    heat_dirichlet_semigroup(16),
+    DiagonalSemigroup(mu=-np.sort(np.random.default_rng(1).uniform(0.5, 400.0, 24)),
+                      omega=1.0, analytic=True),
+    # a growing mode: kappa = omega0 + 1 = 1.5 > 0
+    DiagonalSemigroup(mu=np.array([0.5, -1.0, -30.0]), omega=1.0, analytic=True),
 ]
 
 
 @pytest.mark.parametrize("beta", [0.25, 0.5, 0.8])
 @pytest.mark.parametrize("case", range(len(_SPECTRA)))
 def test_smoothing_constant_dominates_log_spaced_samples(case, beta):
-    sg, kappa, t_max = _SPECTRA[case]
-    C = sg.smoothing_constant(beta, kappa=kappa, t_max=t_max)
-    kappa = sg.omega0 + 1.0 if kappa is None else kappa
+    sg = _SPECTRA[case]
+    C = sg.smoothing_constant(beta)
+    kappa = sg.omega0 + 1.0
     worst = 0.0
-    for t in np.array_split(np.geomspace(1e-9 * t_max, t_max, 10 ** 5), 20):
+    for t in np.array_split(np.geomspace(1e-9, 1.0, 10 ** 5), 20):
         norms = np.max(sg.frac_weights(beta) * np.exp(np.outer(t, sg.mu)), axis=1)
         worst = max(worst, float(np.max(t ** beta * norms * np.exp(-kappa * t))))
     assert worst <= C * (1 + 1e-13)

@@ -45,9 +45,9 @@ from semiflow.solver import (
     StepSelectionError,
     _mittag_leffler,
     _picard_window_raw,
+    _window_poly,
     _write_rows,
     convolve_poly,
-    picard_window,
     poly_exp_integral,
 )
 
@@ -547,7 +547,7 @@ def test_working_space_members_analytic_mode():
     c = np.linspace(-1.0, 1.0, 8)
     assert sys.working_norm(c) == pytest.approx(np.linalg.norm(w * c), rel=1e-15)
     # kappa = omega0 + 1 = 0: c_t = C_{1/2} t^{1/2} / (1/2)
-    C = sg.smoothing_constant(0.5, kappa=0.0)
+    C = sg.smoothing_constant(0.5)
     for t in (0.01, 0.25):
         assert sys.gain(t) == pytest.approx(2.0 * C * np.sqrt(t), rel=1e-14)
         assert sys.input_gain(t) == pytest.approx((sys.gain(t),), rel=1e-14)
@@ -797,16 +797,12 @@ def test_window_bookkeeping():
         assert d.delta == max(1.0, d.K)
 
 
-def test_picard_window_refuses_breakpoint_inside_window():
-    sg = heat_dirichlet_semigroup(4)
-    sys = EvolutionSystem(sg, zero_nonlinearity(4),
-                          B=InputOperator(np.eye(4)[:, :1], Bounded()))
+def test_window_poly_refuses_breakpoint_inside_window():
     u = InputSignal(np.array([0.0, 0.05, 0.2]), np.array([[1.0], [-1.0]]))
     with pytest.raises(ValueError, match="breakpoint"):
-        picard_window(sys, SpectralState.zero(4), u, 0.125)
+        _window_poly(u, 0.125)
     # a window that ends on the breakpoint is fine
-    tau, states, _ = picard_window(sys, SpectralState.zero(4), u, 0.05)
-    assert tau[-1] == 0.05
+    assert np.array_equal(_window_poly(u, 0.05).coeffs, [[1.0]])
 
 
 def test_constant_input_solve_is_the_closed_form_bit_for_bit():
@@ -943,14 +939,17 @@ def test_block_validation():
     assert len(sys.input_gain(0.1)) == 2
 
 
-def test_picard_window_returns_X_coordinates():
+def test_analytic_solve_returns_X_coordinates():
     sg = heat_dirichlet_semigroup(8)
     sys = EvolutionSystem(sg, zero_nonlinearity(8), analytic_alpha=0.25)
     x0 = SpectralState.basis(8, 0, 0.7)
-    tau, states, diag = picard_window(sys, x0, None, 0.125)
-    assert tau[0] == 0.0 and tau[-1] == 0.125
-    assert states[0].coeffs[0] == pytest.approx(0.7)
-    assert states[-1].coeffs[0] == pytest.approx(0.7 * np.exp(-0.125), rel=1e-10)
+    traj = solve(sys, x0, None, 0.125)
+    assert traj.times[0] == 0.0 and traj.times[-1] == 0.125
+    assert traj.coeffs[0, 0] == pytest.approx(0.7)
+    assert traj.coeffs[-1, 0] == pytest.approx(0.7 * np.exp(-0.125), rel=1e-10)
+    # the X_alpha norms are the X coefficients weighted by (1 + n^2)^(1/4)
+    assert traj.alpha_norms[-1] == pytest.approx(
+        2.0 ** 0.25 * traj.coeffs[-1, 0], rel=1e-12)
 
 
 def test_system_validation():
@@ -996,6 +995,14 @@ def test_solver_config_validation():
         SolverConfig(substeps_per_window=4)
     with pytest.raises(ValueError):
         SolverConfig(picard_tol=0.0)
+
+
+@pytest.mark.parametrize("cap", [0.0, -0.1, math.nan])
+def test_solver_config_refuses_nonpositive_window_cap(cap):
+    # a zero cap divided by zero in solve and global_bound, a negative one
+    # failed later with "empty time range"
+    with pytest.raises(ValueError, match="window_cap must be positive"):
+        SolverConfig(window_cap=cap)
 
 
 def _rowwise_csv(columns) -> str:
