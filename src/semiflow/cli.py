@@ -3,8 +3,8 @@
 Exit codes: 0 run succeeded and expectations held, 2 the run finished but
 an expectation in the scenario did not hold, 3 a solve or burgers run
 ended with status failed (no window could be certified, or the Picard
-iteration failed inside a certified window, which means a false Lipschitz
-certificate) and the scenario does not expect status "failed" (outputs are
+iteration failed inside a certified window or contracted more slowly than
+certified, which means a false Lipschitz certificate) and the scenario does not expect status "failed" (outputs are
 written), 1 configuration or runtime error (nothing written in that case).
 """
 

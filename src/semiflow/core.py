@@ -9,6 +9,7 @@ concatenation operations the flow checks rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -22,6 +23,14 @@ __all__ = [
     "stack_channels",
     "signal_sup_distance",
 ]
+
+
+def _max_row_norm(a: np.ndarray) -> float:
+    """max(np.linalg.norm(a, axis=1)) for a real 2-D array, bit for bit
+    (numpy's norm is the sqrt of add.reduce of the squares, ndarray.max is
+    maximum.reduce, and sqrt is monotone), without their Python wrappers
+    and with one sqrt in place of one per row."""
+    return math.sqrt(np.maximum.reduce(np.add.reduce(a * a, axis=1)))
 
 
 def _frozen_array(a, dtype=float, ndim=None) -> np.ndarray:
@@ -152,7 +161,7 @@ class InputSignal:
         # to the single containing cell
         hi = max(int(np.searchsorted(self.grid, t1, side="left")) - 1, lo)
         hi = min(hi, self.values.shape[0] - 1)
-        return float(np.max(np.linalg.norm(self.values[lo : hi + 1, cols], axis=1)))
+        return _max_row_norm(self.values[lo : hi + 1, cols])
 
     def shift(self, tau: float) -> "InputSignal":
         """Time shift: the returned signal is s -> u(s + tau) on [0, horizon - tau]."""
@@ -163,7 +172,14 @@ class InputSignal:
         i = self._cell_index(tau, "right")
         new_grid = np.concatenate(([tau], self.grid[i + 1 :])) - tau
         new_grid[0] = 0.0
-        return InputSignal(new_grid, self.values[i:])
+        new_grid.setflags(write=False)
+        # a shift of a valid signal is valid: it skips __post_init__'s checks
+        # and copies (the solver shifts once per window), and shares the
+        # read-only values
+        shifted = object.__new__(InputSignal)
+        object.__setattr__(shifted, "grid", new_grid)
+        object.__setattr__(shifted, "values", self.values[i:])
+        return shifted
 
     def restrict(self, t1: float) -> "InputSignal":
         """Restriction to [0, t1]."""

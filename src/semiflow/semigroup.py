@@ -6,11 +6,14 @@ X_beta carries the weight (omega - mu_n)^beta.  The extrapolation space
 X_{-1} is the beta = -1 member.  A small dense-matrix generator (bounded
 operator, uniformly continuous semigroup) is provided for the finite ODE
 mode of the solver; it shares the (M, lambda) growth-certificate interface.
-Its exponentials are memoised per instance and per exact time, because the
-solver's window lengths repeat (dyadic fractions of the same caps).
 
-Both carry a solver window through one method, window(tau, x0, forcing);
-the dense mode takes polynomial inputs as the diagonal one does.
+Both carry a solver window through one method, window(t1, S, x0, forcing);
+the dense mode takes polynomial inputs as the diagonal one does.  The part
+of a window that does not depend on x0 or the input, its propagation plan
+(the substep grid, the scan powers, the weights of the f samples, and on
+the diagonal T(tau)), is memoised per instance on the exact (t1, S), in a
+byte budget: the solver's window lengths repeat (dyadic fractions of the
+same caps).  The dense mode's exponentials sit in the same memo.
 """
 
 from __future__ import annotations
@@ -87,17 +90,53 @@ def _act(M: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _scan(c: np.ndarray, powers) -> np.ndarray:
-    """Solve c[j+1] = E c[j] + r_j in place, given c = [c0, r_0, ..., r_{S-1}]
-    along axis 0 and powers[k] = E^(2^k) for k < ceil(log2(S+1)).
+    """Solve c[j+1] = E c[j] + r_j in place, given the n rows
+    c = [c0, r_0, ..., r_{n-2}] along axis 0 and powers[k] = E^(2^k) for
+    k < (n-1).bit_length() = ceil(log2 n); later powers are not read.
 
     Hillis-Steele doubling (Blelloch 1990): after the step with offset d
     every row holds its recurrence value restricted to the last 2d inputs,
-    so log2 steps of c[d:] += E^d c[:-d] replace S sequential ones.
+    so ceil(log2 n) steps of c[d:] += E^d c[:-d] replace n-1 sequential
+    ones.
     """
-    for k, P in enumerate(powers):
+    for k in range((c.shape[0] - 1).bit_length()):
         d = 1 << k
-        c[d:] += _act(P, c[:-d])
+        c[d:] += _act(powers[k], c[:-d])
     return c
+
+
+# bytes of window plans one DiagonalSemigroup keeps.  Over five props_diag
+# suites (12 modes, S = 16, 2.3 kB a plan) 89% of the windows repeat an
+# exact (t1, S), and 83% of the plans hit at this budget, 81% at half of
+# it and 88% at four times it; the larger memo costs resident memory and
+# buys little.
+_PLAN_MEMO_BYTES = 1 << 16
+
+
+class _ArrayMemo:
+    """Read-only array tuples by key; the oldest entries go once the held
+    arrays exceed budget bytes, and a tuple larger than budget is not kept."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._store: "OrderedDict[tuple, Tuple[np.ndarray, ...]]" = OrderedDict()
+
+    def get(self, key: tuple, compute: Callable[[], Tuple[np.ndarray, ...]]):
+        hit = self._store.get(key)
+        if hit is not None:
+            return hit
+        arrays = compute()
+        for a in arrays:
+            a.setflags(write=False)
+        size = sum(a.nbytes for a in arrays)
+        if size <= self.budget:
+            self._store[key] = arrays
+            self.nbytes += size
+            while self.nbytes > self.budget:
+                _, old = self._store.popitem(last=False)
+                self.nbytes -= sum(a.nbytes for a in old)
+        return arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,6 +179,7 @@ class DiagonalSemigroup:
         # smoothing constants and weights are re-requested per candidate step
         object.__setattr__(self, "_sc_cache", {})
         object.__setattr__(self, "_fw_cache", {})
+        object.__setattr__(self, "_memo", _ArrayMemo(_PLAN_MEMO_BYTES))
 
     @property
     def n_modes(self) -> int:
@@ -219,22 +259,30 @@ class DiagonalSemigroup:
         w = 1.0 if alpha == 0.0 else self.frac_weights(alpha)
         return float(np.linalg.norm(w * (np.exp(self.mu * t) - 1.0) * np.asarray(coeffs, float)))
 
-    def window(self, tau: np.ndarray, x0: np.ndarray, forcing):
-        """(powers, A1, A2, free, lin) of one solver window on the substep
-        grid tau (S equal steps h from 0): powers[k] = T(h)^(2^k) for _scan;
-        A1, A2 weigh the f samples at the two ends of a substep (piecewise-
-        linear reconstruction); free = T(tau) x0; lin = free + int_0^tau
-        T_{-1}(tau-s) B p(s) ds.  forcing holds one (d+1, N) array per input
-        block, row k of block i being B_i p_k.  convolve gives each block's
-        part; summed across blocks, then onto free: that order keeps the
-        bytes."""
-        S = tau.shape[0] - 1
+    def window(self, t1: float, S: int, x0: np.ndarray, forcing):
+        """(tau, powers, A1, A2, free, lin) of one solver window [0, t1] of S
+        equal substeps h: tau = linspace(0, t1, S+1); powers[k] = T(h)^(2^k)
+        for a _scan of the S rows 1..S; A1, A2 weigh the f samples at the two
+        ends of a substep (piecewise-linear reconstruction); free = T(tau) x0;
+        lin = free + int_0^tau T_{-1}(tau-s) B p(s) ds.  forcing holds one
+        (d+1, N) array per input block, row k of block i being B_i p_k.
+        convolve gives each block's part; summed across blocks, then onto
+        free: that order keeps the bytes.  Everything but free and lin is
+        the plan of (t1, S), memoised and read-only."""
+        tau, powers, A1, A2, T = self._memo.get(("W", t1, S), lambda: self._plan(t1, S))
+        free = T * x0[None, :]
+        lin = free + reduce(np.add, self.convolve(tau[:, None], forcing)) if forcing else free
+        return tau, powers, A1, A2, free, lin
+
+    def _plan(self, t1: float, S: int):
+        """(tau, powers, A1, A2, T(tau)) of window; linspace puts t1 at the end
+        exactly, so h = t1 / S."""
+        tau = np.linspace(0.0, t1, S + 1)
         h = float(tau[-1]) / S
         z = self.mu * h
-        powers = np.exp(np.multiply.outer(2.0 ** np.arange(S.bit_length()), z))
-        free = np.exp(np.outer(tau, self.mu)) * x0[None, :]
-        lin = free + reduce(np.add, self.convolve(tau[:, None], forcing)) if forcing else free
-        return powers, h * (phi1(z) - phi2(z)), h * phi2(z), free, lin
+        powers = np.exp(np.multiply.outer(2.0 ** np.arange((S - 1).bit_length()), z))
+        p2 = phi2(z)
+        return tau, powers, h * (phi1(z) - p2), h * p2, np.exp(np.outer(tau, self.mu))
 
     def convolve(self, t, forcing):
         """int_0^t e^{mu (t-s)} sum_k rows[k] s^k ds per mode for each block
@@ -244,32 +292,6 @@ class DiagonalSemigroup:
         ints = [poly_exp_integral(self.mu, t, k)
                 for k in range(max(map(len, forcing), default=0))]
         return [sum(r * I for r, I in zip(rows, ints)) for rows in forcing]
-
-
-class _ArrayMemo:
-    """Read-only array tuples by key; the oldest entries go once the held
-    arrays exceed budget bytes, and a tuple larger than budget is not kept."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.nbytes = 0
-        self._store: "OrderedDict[tuple, Tuple[np.ndarray, ...]]" = OrderedDict()
-
-    def get(self, key: tuple, compute: Callable[[], Tuple[np.ndarray, ...]]):
-        hit = self._store.get(key)
-        if hit is not None:
-            return hit
-        arrays = compute()
-        for a in arrays:
-            a.setflags(write=False)
-        size = sum(a.nbytes for a in arrays)
-        if size <= self.budget:
-            self._store[key] = arrays
-            self.nbytes += size
-            while self.nbytes > self.budget:
-                _, old = self._store.popitem(last=False)
-                self.nbytes -= sum(a.nbytes for a in old)
-        return arrays
 
 
 # bytes of exponentials one DenseGenerator keeps (170 propagator triples
@@ -338,22 +360,21 @@ class DenseGenerator:
         return (blocks[0].copy(), blocks[1].copy(), P2,
                 *[math.factorial(k) * blocks[k + 1] for k in range(2, m)])
 
-    def window(self, tau: np.ndarray, x0: np.ndarray, forcing):
-        """DiagonalSemigroup.window for e^{At}, from the propagators of h:
-        powers by repeated squaring of E; free and lin as the two columns of
-        one _scan, lin_{j+1} = E lin_j + int_0^h e^{A(h-s)} B p(tau_j + s) ds,
+    def window(self, t1: float, S: int, x0: np.ndarray, forcing):
+        """DiagonalSemigroup.window for e^{At}, from the propagators of
+        h = t1 / S: the plan (tau and the powers, by repeated squaring of E)
+        is memoised per (t1, S, input degree d), whose E it squares; free and
+        lin are the two columns of one _scan of the S+1 rows,
+        lin_{j+1} = E lin_j + int_0^h e^{A(h-s)} B p(tau_j + s) ds,
         whose input row j expands (tau_j + s)^i binomially: the sum over
         k <= i <= d of C(i, k) tau_j^(i-k) Q_k B p_i, Q_0 = P1, Q_1 = h P2.
         B p_i sums the blocks first, and each Q_k B p_i is a matrix-vector
         product taken before its scalar weights: that order keeps the bytes
         (the gemm (S, N) @ P1.T is 1 ulp off P1 B p_0)."""
-        S = tau.shape[0] - 1
-        h = float(tau[-1]) / S
+        h = t1 / S
         d = forcing[0].shape[0] - 1 if forcing else 0
         E, P1, P2, *Q = self.propagators(h, d)
-        powers = [E]
-        for _ in range(S.bit_length() - 1):
-            powers.append(powers[-1] @ powers[-1])
+        tau, *powers = self._memo.get(("W", t1, S, d), lambda: self._plan(t1, S, E))
         c = np.zeros((S + 1, 2, self.n_modes))
         c[0] = x0
         if forcing:
@@ -363,7 +384,16 @@ class DenseGenerator:
                 np.multiply.outer(math.comb(i, k) * tau[:-1] ** (i - k), Q[k] @ Bp[i])
                 for k in range(d + 1) for i in range(k, d + 1)])
         _scan(c, powers)
-        return powers, P1 - P2, P2, c[:, 0], c[:, 1]
+        return tau, powers, P1 - P2, P2, c[:, 0], c[:, 1]
+
+    @staticmethod
+    def _plan(t1: float, S: int, E: np.ndarray):
+        """(tau, E, E^2, E^4, ...): the S.bit_length() powers a scan of S+1
+        rows reads."""
+        powers = [E]
+        for _ in range(S.bit_length() - 1):
+            powers.append(powers[-1] @ powers[-1])
+        return (np.linspace(0.0, t1, S + 1), *powers)
 
     def sg_distance(self, t: float, coeffs: np.ndarray, alpha: float = 0.0) -> float:
         if alpha != 0.0:

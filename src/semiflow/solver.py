@@ -17,9 +17,11 @@ turns it into the exact linear part on the whole substep grid, and into the
 weights of the nonlinear term: piecewise-linear-in-time reconstruction of
 the f samples with exact integration against T, so the only discretization
 error is the O(h^2) reconstruction error.  Per Picard iteration that is the
-recurrence conv_{j+1} = E conv_j + A1 g_j + A2 g_{j+1}, solved by one
-doubling scan: ceil(log2(S+1)) array steps c[d:] += E^d c[:-d],
-d = 1, 2, 4, ..., with the powers E^(2^k) formed once per window.
+recurrence conv_{j+1} = E conv_j + A1 g_j + A2 g_{j+1} from conv_0 = 0,
+solved by one doubling scan of the S rows 1..S: ceil(log2 S) array steps
+c[d:] += E^d c[:-d], d = 1, 2, 4, ...  The powers E^(2^k), the grid and
+the weights form the window's propagation plan, which the semigroup
+memoises per exact (t1, S), so a repeated window length builds none of it.
 
 In analytic mode the iteration runs on y = (omega*I - A)^alpha x with the
 singular-kernel window certificate; a bounded-generator dense-matrix mode
@@ -39,7 +41,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.special
 
-from .core import InputSignal, Nonlinearity, SpectralState
+from .core import InputSignal, Nonlinearity, SpectralState, _max_row_norm
 # poly_exp_integral is unused here; the tests and perfbench's tracer look it up here
 from .semigroup import DiagonalSemigroup, DenseGenerator, _act, _scan, poly_exp_integral
 from .admissibility import (
@@ -161,6 +163,13 @@ _WINDOW_MEMO_ENTRIES = 256
 MAX_PICARD_ITERS = 60
 # the bound select_step holds c_t * L to on every window
 CONTRACTION_TARGET = 0.5
+# how far roundoff alone may lift a window's observed Picard ratio above
+# its certified c_t * L.  An iterate is the exact map of the one before
+# plus an error e of some tens of ulps of scale (ceil(log2 S) scan steps,
+# the weights and f; 1e-14 scale allows 45 ulps), so the ratio d_k / d_{k-1}
+# of successive changes is at most c_t L + 2 e / d_{k-1}, and the kernel
+# takes a ratio only where d_{k-1} > ratio_floor >= 1e-13 scale.
+_RATIO_ROUNDOFF = 0.2
 
 
 @dataclass(frozen=True, eq=False)
@@ -522,30 +531,31 @@ def _picard_window_raw(sys: EvolutionSystem, x0: np.ndarray, p: PolySignal,
     point.  Raises _WindowFailure on divergence or when MAX_PICARD_ITERS
     iterations do not meet the stop.
     """
-    tau = np.linspace(0.0, t1, cfg.substeps_per_window + 1)
     # row k of block i is B_i p_k: B u = sum_i B_i u_i
     forcing = [np.array([op.apply(pk) for pk in p.coeffs[:, cols]])
                for op, cols in zip(sys.input_blocks, sys.input_columns)]
-    powers, A1, A2, free, lin = sys.semigroup.window(tau, x0, forcing)
+    tau, powers, A1, A2, free, lin = sys.semigroup.window(
+        t1, cfg.substeps_per_window, x0, forcing)
 
     w = sys.weights[None, :]
     lin_w = lin * w
     y = free * w
     u_vals = p.value(tau)
 
-    scale = max(1.0, float(np.max(np.linalg.norm(lin_w, axis=1))))
+    scale = max(1.0, _max_row_norm(lin_w))
     ratio_floor = max(10.0 * cfg.picard_tol, 1e-13 * scale)
     contraction = 0.0
     prev_delta = None
-    conv = np.empty_like(y)
+    # row 0 stays 0: the scan runs on rows 1..S
+    conv = np.zeros_like(y)
     for k in range(MAX_PICARD_ITERS):
         g = sys.b2_apply(sys.f.batch(y / w, u_vals)) * w
-        conv[0] = 0.0
         conv[1:] = _act(A1, g[:-1]) + _act(A2, g[1:])
-        y_new = lin_w + _scan(conv, powers)
-        delta = float(np.max(np.linalg.norm(y_new - y, axis=1)))
+        _scan(conv[1:], powers)
+        y_new = lin_w + conv
+        delta = _max_row_norm(y_new - y)
         y = y_new
-        if not np.isfinite(delta) or delta > 1e15 * scale:
+        if not math.isfinite(delta) or delta > 1e15 * scale:
             raise _WindowFailure("Picard iteration diverged")
         if prev_delta is not None and prev_delta > ratio_floor:
             contraction = max(contraction, delta / prev_delta)
@@ -568,7 +578,12 @@ def solve(sys: EvolutionSystem, x0: SpectralState, u: Optional[DrivingSignal],
     certificate, or when the Picard iteration fails on a window that passed
     it: a true contraction certificate makes the iteration converge, so
     that failure shows a false one (a declared Lipschitz constant below
-    f's)."""
+    f's).  A false certificate can also hide behind a converging iteration,
+    so a window whose observed contraction ratio exceeds its certified
+    c_t * L by more than roundoff (_RATIO_ROUNDOFF) fails too: the discrete
+    map integrates the piecewise-linear interpolant of the f samples
+    exactly, and that interpolant's sup is at most the samples' sup, so in
+    exact arithmetic its ratio is at most c_t * L."""
     cfg = cfg or SolverConfig()
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -623,18 +638,23 @@ def solve(sys: EvolutionSystem, x0: SpectralState, u: Optional[DrivingSignal],
             status = Status.failed(str(e))
             break
         bis = max(0, int(round(math.log2(max(cap / t1, 1.0)))))
+        delta = max(1.0, K)
+        lipschitz = sys.f.lipschitz(max(K + delta, u_sup))
+        c_t = sys.gain(t1)
 
         try:
             tau, y, iters, contraction = _picard_window_raw(
                 sys, x, _window_poly(u_loc, t1), t1, cfg)
+            if contraction > c_t * lipschitz + _RATIO_ROUNDOFF:
+                raise _WindowFailure(
+                    f"observed Picard contraction {contraction:.3g} exceeds the "
+                    f"certified c_t*L = {c_t * lipschitz:.3g}")
         except _WindowFailure as e:
             status = Status.failed(f"certified window [{t:.6g}, {t + t1:.6g}]: {e}")
             break
 
-        delta = max(1.0, K)
         diags.append(WindowDiagnostics(
-            t_start=t, t1=t1, K=K, delta=delta,
-            lipschitz=sys.f.lipschitz(max(K + delta, u_sup)), c_t=sys.gain(t1),
+            t_start=t, t1=t1, K=K, delta=delta, lipschitz=lipschitz, c_t=c_t,
             picard_iters=iters, contraction_observed=contraction, bisections=bis))
 
         coeffs = y / w
@@ -683,22 +703,56 @@ def solve_analytic(sys: EvolutionSystem, x0: SpectralState,
 # a-priori trajectory bounds
 
 
+_EPS = float(np.finfo(float).eps)
+# the largest x with a finite e^x
+_LOG_FLOAT_MAX = math.log(float(np.finfo(float).max))
+# terms _mittag_leffler sums before it gives up with inf
+_ML_MAX_TERMS = 1 << 18
+
+
 def _mittag_leffler(beta: float, z: float) -> float:
-    """E_beta(z) = sum_k z^k / Gamma(1 + beta k) for z >= 0; inf, still a bound,
-    when a term overflows or 600 terms do not meet the stopping rule."""
+    """An upper bound on E_beta(z) = sum_k z^k / Gamma(1 + beta k), z >= 0;
+    inf, still a bound, once the value leaves the float range (or needs
+    more than _ML_MAX_TERMS terms).
+
+    The terms t_k = exp(l_k), l_k = k log z - gammaln(1 + beta k), are
+    summed in log space, scaled by the largest, so no term overflows before
+    the sum does.  The ratio t_{k+1} / t_k falls with k, since log Gamma is
+    convex; so once a ratio r is below 1 the terms after t_k sum to at most
+    t_k r / (1 - r).  The terms run until that tail is below an ulp of the
+    sum, and the tail is added.  The rounding goes outward: each l_k is
+    charged 16 ulps of the magnitudes it is formed from, the sum n ulps,
+    and the final log and exp a few ulps of the exponent.  The excess this
+    buys is at most 3.3e-11 relative at beta = 1/2 for z <= 26 (where
+    |k log z| + |gammaln| + |l_k| is about 9e3 at the peak), and grows
+    with those magnitudes.
+    """
     if z <= 0.0:
         return 1.0
-    acc = 0.0
+    if z == math.inf:
+        return math.inf
     logz = math.log(z)
-    for k in range(600):
-        try:
-            term = math.exp(k * logz - scipy.special.gammaln(1.0 + beta * k))
-        except OverflowError:
+    n = 64
+    while True:
+        k = np.arange(n)
+        gl = scipy.special.gammaln(1.0 + beta * k)
+        logs = k * logz - gl
+        top = float(logs.max())
+        if top > _LOG_FLOAT_MAX:
             return math.inf
-        acc += term
-        if k > 4 and term < 1e-16 * max(acc, 1.0):
-            return acc
-    return math.inf
+        w = np.exp(logs - top)
+        r = math.exp(logs[-1] - logs[-2])
+        if r < 1.0 and w[-1] * r / (1.0 - r) <= _EPS:
+            break
+        if n >= _ML_MAX_TERMS:
+            return math.inf
+        n *= 2
+    err = np.expm1(16.0 * _EPS * (k * abs(logz) + np.abs(gl) + abs(top)) + _EPS)
+    total = (float(w.sum()) * (1.0 + n * _EPS) + float(w @ err)
+             + float(w[-1]) * r / (1.0 - r))
+    log_total = math.log(total)
+    e = top + log_total + 4.0 * _EPS * (abs(top) + abs(log_total) + 1.0)
+    return math.exp(e) if e < _LOG_FLOAT_MAX else math.inf
 
 
 def global_bound(sys: EvolutionSystem, x0_norm: float, u_norm: float,

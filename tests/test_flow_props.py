@@ -262,6 +262,31 @@ def test_brs_without_uniform_certificate_reports_sup_only():
     assert "sampled sup only" in rep.notes
 
 
+def test_window_plan_memo_stays_within_its_budget_over_a_suite():
+    # a flow-property suite of the benchmark's props_diag size: 12 modes,
+    # S = 16; every plan request is followed by a look at the held bytes
+    from semiflow.semigroup import _PLAN_MEMO_BYTES
+
+    sys = arctan_system(12, gain=0.4, input_gain=0.5)
+    memo = sys.semigroup._memo
+    get, held, hits = memo.get, [], []
+
+    def watched(key, compute):
+        hits.append(key in memo._store)
+        out = get(key, compute)
+        held.append(memo.nbytes)
+        return out
+
+    memo.get = watched
+    cfg = SolverConfig(substeps_per_window=16)
+    for seed in (0, 1):
+        assert deviation_suite(sys, tau=0.4, n_pairs=3, seed=seed, cfg=cfg).passed
+        assert check_cep(sys, eps_grid=[0.5], h_grid=[0.4], cfg=cfg, n_samples=2,
+                         seed=seed, ladder_steps=6).passed
+    assert max(held) <= _PLAN_MEMO_BYTES
+    assert len(held) > 100 and sum(hits) > len(hits) // 2
+
+
 def test_report_formatting_and_json(tmp_path):
     sys = arctan_system()
     rep = deviation_suite(sys, 0.5, n_pairs=2, seed=11)

@@ -320,3 +320,33 @@ def test_dense_memo_stays_within_its_budget():
         assert g._memo.nbytes <= _DENSE_MEMO_BYTES
     assert g._memo.nbytes > _DENSE_MEMO_BYTES - per_entry  # full, oldest evicted
     assert g.propagators(hs[-1])[0] is g.propagators(hs[-1])[0]
+
+
+def _window_inputs(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=n), [rng.normal(size=(3, n)), rng.normal(size=(3, n))]
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_window_plan_memo_is_bit_identical_to_a_cold_build(dense):
+    mu = np.array([0.4, -1.0, -3.0, -250.0])
+    if dense:
+        A = np.diag(mu) + np.triu(np.full((4, 4), 0.3), 1)
+        make = lambda: DenseGenerator(A)  # noqa: E731
+    else:
+        make = lambda: DiagonalSemigroup(mu=mu, omega=1.0)  # noqa: E731
+    warm = make()
+    for S, t1 in [(16, 0.25), (17, 0.25), (8, 0.25 / 3), (16, 0.25)]:
+        for seed in (1, 2):
+            x0, forcing = _window_inputs(4, seed)
+            for f in (forcing, forcing[:1], []):
+                got = warm.window(t1, S, x0, f)
+                want = make().window(t1, S, x0, f)
+                assert len(got) == len(want) == 6
+                for a, b in zip(got, want):
+                    assert all(np.array_equal(p, q) for p, q in zip(a, b))
+                assert np.array_equal(got[0], np.linspace(0.0, t1, S + 1))
+                assert not got[0].flags.writeable
+    # a repeated (t1, S) is served from the memo, not rebuilt
+    x0, forcing = _window_inputs(4, 3)
+    assert warm.window(0.25, 16, x0, forcing)[0] is warm.window(0.25, 16, -x0, forcing)[0]

@@ -192,7 +192,9 @@ def _sequential_window(sys, x0, t1, cfg):
     raise AssertionError("reference iteration did not converge")
 
 
-@pytest.mark.parametrize("S", [8, 13, 64])
+# 8 and 16 are powers of two, where the scan of rows 1..S needs one power
+# fewer than a scan of all S+1 rows; 9 and 17 are one past them
+@pytest.mark.parametrize("S", [8, 9, 13, 16, 17, 64])
 @pytest.mark.parametrize("dense", [False, True])
 def test_window_scan_matches_sequential_recurrence(S, dense):
     t1 = 0.25
@@ -638,10 +640,10 @@ def test_diagonal_convolve_is_the_one_polynomial_convolution():
     assert sg.convolve(0.3, []) == []
 
     # the window's linear part is free + the sum of its blocks' convolutions
-    tau = np.linspace(0.0, 0.25, 9)
     x0 = rng.normal(size=5)
     two = [rng.normal(size=(3, 5)) for _ in range(2)]
-    *_, free, lin = sg.window(tau, x0, two)
+    tau, *_, free, lin = sg.window(0.25, 8, x0, two)
+    assert np.array_equal(tau, np.linspace(0.0, 0.25, 9))
     blocks = [sum(Bp[k] * poly_exp_integral(mu, tau[:, None], k) for k in range(3))
               for Bp in two]
     assert np.array_equal(lin, free + (blocks[0] + blocks[1]))
@@ -750,6 +752,18 @@ def test_global_bound_analytic_mode_past_the_series_cap():
     assert global_bound(sys, 1.0, 0.0, 1e4) == math.inf
     # a zero prefactor bounds the zero trajectory by 0, not by 0 * inf
     assert global_bound(sys, 0.0, 0.0, 1e4) == 0.0
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_mittag_leffler_is_an_upper_bound_within_1e_10(beta):
+    # E_{1/2}(z) = erfcx(-z) and E_1(z) = e^z.  The plain series summed
+    # below the value (144009798674.66058 at z = 5 for ...66104) and
+    # returned inf from z = 13.5, where E_{1/2} is 2.8e79.
+    exact = (lambda z: scipy.special.erfcx(-z)) if beta == 0.5 else np.exp
+    for z in np.linspace(0.0, 26.0, 521):
+        want = exact(z)
+        got = _mittag_leffler(beta, float(z))
+        assert want <= got <= want * (1.0 + 1e-10), z
 
 
 def test_mittag_leffler_closed_forms():
@@ -879,6 +893,30 @@ def test_picard_failure_on_a_certified_window_fails_the_solve():
     assert traj.status.kind == "failed"
     assert traj.status.reason == "certified window [0, 1]: Picard iteration diverged"
     assert traj.diagnostics == [] and traj.times.tolist() == [0.0]
+
+
+def test_contraction_above_the_certificate_fails_the_solve():
+    # f = 5 x declared 0.01-Lipschitz: the Picard iteration still converges
+    # on the certified [0, 1], but with ratio 2.5 against c_t * L = 0.01,
+    # which no roundoff explains.  That used to complete unnoticed.
+    liar = Nonlinearity(eval=lambda x, v: 5.0 * x, lipschitz=lambda r: 0.01,
+                        growth_sigma=KinfFunction.identity(), label="liar")
+    sys = EvolutionSystem(heat_dirichlet_semigroup(4), liar)
+    traj = solve(sys, SpectralState(np.ones(4)), None, 1.0,
+                 SolverConfig(substeps_per_window=16))
+    assert traj.status.kind == "failed"
+    assert traj.status.reason == ("certified window [0, 1]: observed Picard "
+                                  "contraction 2.5 exceeds the certified c_t*L = 0.01")
+    assert traj.diagnostics == []
+
+    # the same f declared with its true constant 5 completes, each window's
+    # observed ratio below its certificate
+    honest = Nonlinearity(eval=lambda x, v: 5.0 * x, lipschitz=lambda r: 5.0,
+                          growth_sigma=KinfFunction.identity())
+    traj = solve(EvolutionSystem(heat_dirichlet_semigroup(4), honest),
+                 SpectralState(np.ones(4)), None, 1.0, SolverConfig(substeps_per_window=16))
+    assert traj.status.kind == "completed"
+    assert all(d.contraction_observed <= d.c_t * d.lipschitz for d in traj.diagnostics)
 
 
 def _blocks_system(dense: bool, zero_block: bool):
