@@ -18,6 +18,14 @@ better direction, the parent's interquartile range and the pairs the
 change won; it also gives each side's median whole-run wall time.
 --workload may be repeated; --out is rewritten after each workload, so an
 interrupted campaign keeps the workloads it finished.
+
+--cold-start N times the short runs, each in a fresh interpreter on the
+tree's src/: round k (k < N) runs `import semiflow`, then the command
+line on each scenarios/*.json of this tree, once in each tree back to
+back, the parent first in even rounds and second in odd ones.  Each
+target's median wall times, their change and the rounds the change won
+go under the cold_start key of --out.  With --cold-start, --workload may
+be left out.
 """
 
 import argparse
@@ -29,6 +37,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -118,6 +127,69 @@ def format_summary(workload, summary):
     return lines
 
 
+def summarize_cold_start(records):
+    """Per target ("import" or a scenario name), each side's median wall
+    time, the change of the median (positive when the change is faster)
+    and the rounds the change won, over the rounds that timed the target
+    on both sides.  records: dicts with round, side, target and wall_s."""
+    by_target = {}
+    for r in records:
+        by_target.setdefault(r["target"], {}).setdefault(r["round"], {})[r["side"]] = r["wall_s"]
+    out = {}
+    for target, rounds in by_target.items():
+        both = [w for _, w in sorted(rounds.items()) if set(w) == set(SIDES)]
+        if not both:
+            continue
+        med = {s: statistics.median(w[s] for w in both) for s in SIDES}
+        out[target] = {"rounds": len(both), **{f"{s}_median_s": med[s] for s in SIDES},
+                       "gain_s": med["parent"] - med["change"],
+                       "wins": sum(w["change"] < w["parent"] for w in both)}
+    return out
+
+
+def format_cold_start(summary):
+    """Printable lines of a cold-start summary."""
+    return [f"  cold {target}: parent {m['parent_median_s']:.3f} s, change "
+            f"{m['change_median_s']:.3f} s, gain {m['gain_s']:+.3f} s, "
+            f"wins {m['wins']}/{m['rounds']}" for target, m in summary.items()]
+
+
+def run_cold(tree, target, out_dir):
+    """Wall time of one fresh interpreter on tree's src/ that imports
+    semiflow (target "import") or runs the command line on tree's
+    scenarios/<target>.json."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(tree / "src")
+    scenario = tree / "scenarios" / f"{target}.json"
+    argv = [sys.executable] + (["-c", "import semiflow"] if target == "import" else
+                               ["-m", "semiflow", str(scenario), "--out", out_dir, "--quiet"])
+    start = time.perf_counter()
+    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr)
+        raise RuntimeError(f"{' '.join(argv[1:])} in {tree} exited {done.returncode}")
+    return wall
+
+
+def cold_start(trees, n_rounds):
+    """The cold-start records of n_rounds rounds: the import and every
+    scenario of this tree, each run on both sides back to back."""
+    targets = ["import"] + sorted(p.stem for p in (ROOT / "scenarios").glob("*.json"))
+    records = []
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        for k in range(n_rounds):
+            for target in targets:
+                for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                    wall = run_cold(trees[side], target, os.path.join(tmp, side, target))
+                    records.append({"round": k, "side": side, "target": target,
+                                    "wall_s": wall})
+            print(f"cold start round {k}: " + ", ".join(
+                f"{r['side']} {r['target']} {r['wall_s']:.3f}"
+                for r in records if r["round"] == k), flush=True)
+    return records
+
+
 def run_once(tree, bench, workload, seed):
     """One run of bench's command in tree, for bench's run_seconds: its last
     JSON line plus the wall time."""
@@ -162,11 +234,16 @@ def describe(tree):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent", type=Path, help="checkout of the parent commit")
-    p.add_argument("--workload", action="append", required=True)
+    p.add_argument("--workload", action="append", default=[])
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed0", type=int, default=1)
+    p.add_argument("--cold-start", type=int, default=0, metavar="N",
+                   help="also time N rounds of fresh-interpreter imports and "
+                        "command-line scenario runs per tree")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
+    if not args.workload and not args.cold_start:
+        p.error("give --workload or --cold-start")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     trees = {"parent": args.parent.resolve(), "change": ROOT}
@@ -175,6 +252,13 @@ def main(argv=None):
               "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                           "python": platform.python_version()},
               "workloads": workloads}
+    if args.cold_start:
+        records = cold_start(trees, args.cold_start)
+        summary = summarize_cold_start(records)
+        report["cold_start"] = {"rounds": args.cold_start, "summary": summary,
+                                "runs": records}
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+        print("\n".join(format_cold_start(summary)), flush=True)
     for workload in args.workload:
         records = []
         for k in range(args.pairs):

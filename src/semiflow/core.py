@@ -29,8 +29,9 @@ def _max_row_norm(a: np.ndarray) -> float:
     """max(np.linalg.norm(a, axis=1)) for a real 2-D array, bit for bit
     (numpy's norm is the sqrt of add.reduce of the squares, ndarray.max is
     maximum.reduce, and sqrt is monotone), without their Python wrappers
-    and with one sqrt in place of one per row."""
-    return math.sqrt(np.maximum.reduce(np.add.reduce(a * a, axis=1)))
+    and with one sqrt in place of one per row; 0.0 for an array without
+    rows."""
+    return math.sqrt(np.maximum.reduce(np.add.reduce(a * a, axis=1), initial=0.0))
 
 
 def _frozen_array(a, dtype=float, ndim=None) -> np.ndarray:

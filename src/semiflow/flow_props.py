@@ -22,7 +22,13 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .admissibility import outside_x_alpha
-from .core import InputSignal, Nonlinearity, SpectralState, signal_sup_distance
+from .core import (
+    InputSignal,
+    Nonlinearity,
+    SpectralState,
+    _max_row_norm,
+    signal_sup_distance,
+)
 from .solver import (
     EvolutionSystem,
     SolverConfig,
@@ -231,8 +237,8 @@ def check_axioms(sys: EvolutionSystem, t_end: float, n_samples: int = 5,
         fine = solve(sys, x0, u, t_end,
                      replace(cfg, substeps_per_window=2 * cfg.substeps_per_window),
                      checkpoint_times=[s_c])
-        inc_c = _max_row_norm(np.diff(traj.coeffs, axis=0), sys.weights)
-        inc_f = _max_row_norm(np.diff(fine.coeffs, axis=0), sys.weights)
+        inc_c = _max_row_norm(np.diff(traj.coeffs, axis=0) * sys.weights)
+        inc_f = _max_row_norm(np.diff(fine.coeffs, axis=0) * sys.weights)
         r = inc_f / (1.01 * inc_c + atol)
         if r > worst["continuity"]:
             worst["continuity"] = r
@@ -254,12 +260,6 @@ def check_axioms(sys: EvolutionSystem, t_end: float, n_samples: int = 5,
     ratio = max(worst.values())
     witness["per_axiom_ratio"] = worst
     return _report("axioms", n_samples, ratio, witness)
-
-
-def _max_row_norm(rows: np.ndarray, w: np.ndarray) -> float:
-    """Largest working norm among the rows (weights w); 0 without rows."""
-    d = rows * w[None, :]
-    return float(np.max(np.linalg.norm(d, axis=1))) if d.shape[0] else 0.0
 
 
 def _continuity_ratio(sys: EvolutionSystem, traj: Trajectory,
@@ -441,8 +441,11 @@ def saturated_system(sys: EvolutionSystem) -> EvolutionSystem:
 
     def ev(x, v):
         # the retraction acts on the last axis, so leading axes are samples
-        x_nrm = np.linalg.norm(x * w, axis=-1, keepdims=True)
-        v_nrm = np.linalg.norm(v, axis=-1, keepdims=True)
+        # np.linalg.norm(., axis=-1, keepdims=True) bit for bit, without
+        # its Python wrapper (two calls per f batch)
+        xw = x * w
+        x_nrm = np.sqrt(np.add.reduce(xw * xw, axis=-1, keepdims=True))
+        v_nrm = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
         return f(x / np.maximum(x_nrm, 1.0), v / np.maximum(v_nrm, 1.0))
 
     f_sat = Nonlinearity(
@@ -499,7 +502,7 @@ def check_cep(sys: EvolutionSystem, eps_grid: Sequence[float],
                     if traj.status.kind != "completed":
                         sup = math.inf
                         break
-                    sup = max(sup, _max_row_norm(traj.coeffs, sys.weights))
+                    sup = max(sup, _max_row_norm(traj.coeffs * sys.weights))
                 if sup <= eps * (1.0 + 1e-9):
                     found, sup_found = delta, sup
                     break
@@ -547,7 +550,7 @@ def check_brs(sys: EvolutionSystem, C: float, tau: float, n_samples: int = 20,
         s = traj.sup_norm()
         if s > sup_x:
             sup_x, witness = s, {"sample": i, "sup": s}
-        sup_w = max(sup_w, _max_row_norm(traj.coeffs, sys.weights))
+        sup_w = max(sup_w, _max_row_norm(traj.coeffs * sys.weights))
     witness["sampled_sup"] = sup_x
     if sys.f.uniform_lipschitz is None:
         return _report("brs", n_samples, 0.0, witness,

@@ -8,6 +8,10 @@ written, so a bad config never leaves partial outputs behind.
 
 Runs are deterministic: given the same scenario and overrides, the output
 files are byte-identical.
+
+jsonschema is imported inside load_scenario, on the first scenario read,
+so importing the package or the command line loads numpy only (jsonschema
+is about 45 ms of import time).
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import os
 import sys
 from typing import Dict, List, Optional
 
-import jsonschema
 import numpy as np
 
 from .admissibility import (
@@ -358,6 +361,8 @@ def load_scenario(path: str) -> dict:
     if task not in COMMAND_SCHEMAS:
         known = ", ".join(sorted(COMMAND_SCHEMAS))
         raise ScenarioError(f"unknown task {task!r}; expected one of: {known}")
+    import jsonschema
+
     validator = jsonschema.Draft202012Validator(COMMAND_SCHEMAS[task])
     err = jsonschema.exceptions.best_match(validator.iter_errors(sc))
     if err is not None:

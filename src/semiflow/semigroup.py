@@ -14,6 +14,10 @@ of a window that does not depend on x0 or the input, its propagation plan
 the diagonal T(tau)), is memoised per instance on the exact (t1, S), in a
 byte budget: the solver's window lengths repeat (dyadic fractions of the
 same caps).  The dense mode's exponentials sit in the same memo.
+
+scipy.linalg is imported inside _matrix_exp, on a DenseGenerator's first
+memo miss, so importing this module loads numpy only; a memo hit runs no
+import statement.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from functools import cached_property, reduce
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "DiagonalSemigroup",
@@ -294,6 +297,15 @@ class DiagonalSemigroup:
         return [sum(r * I for r, I in zip(rows, ints)) for rows in forcing]
 
 
+def _matrix_exp(M: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm(M).  scipy.linalg is imported here, on the first
+    dense exponential, not with the package: it is about 0.17 s of import
+    time, and only a DenseGenerator's memo misses need it."""
+    import scipy.linalg
+
+    return scipy.linalg.expm(M)
+
+
 # bytes of exponentials one DenseGenerator keeps (170 propagator triples
 # at 8 modes).  The repeats are short-range: over 40 flow-property suites
 # on 8 modes this budget misses 1875 times, no bound 1647 times, while a
@@ -334,7 +346,7 @@ class DenseGenerator:
 
     def _expm(self, t: float) -> np.ndarray:
         """e^{At}, read-only and memoised on the exact float t."""
-        return self._memo.get(("T", t), lambda: (scipy.linalg.expm(self.A * t),))[0]
+        return self._memo.get(("T", t), lambda: (_matrix_exp(self.A * t),))[0]
 
     def apply_T(self, t: float, coeffs: np.ndarray) -> np.ndarray:
         if t < 0:
@@ -353,7 +365,7 @@ class DenseGenerator:
         n = self.n_modes
         G = np.kron(np.eye(m + 1, k=1), np.eye(n))  # the chain of identities
         G[:n, :n] = self.A
-        F = scipy.linalg.expm(G * h)
+        F = _matrix_exp(G * h)
         # block j of the top row is int e^{A(h-s)} s^(j-1)/(j-1)! ds
         blocks = [F[:n, j * n : (j + 1) * n] for j in range(m + 1)]
         P2 = blocks[2] / h if h > 0 else np.zeros((n, n))

@@ -29,6 +29,10 @@ covers finite ODE systems with the same code path.  EvolutionSystem owns
 the working norm (X, or X_alpha in analytic mode) and hands out the window
 constants c_t (nonlinear channel) and h_t (one per input block) every
 certificate reads; both come from admissibility.window_constant.
+
+scipy.special is imported inside global_bound's analytic branch and
+_mittag_leffler, its only users, so importing this module loads numpy
+only (scipy.special is about 40 ms of import time).
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from dataclasses import dataclass, asdict, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.special
 
 from .core import InputSignal, Nonlinearity, SpectralState, _max_row_norm
 # poly_exp_integral is unused here; the tests and perfbench's tracer look it up here
@@ -731,6 +734,8 @@ def _mittag_leffler(beta: float, z: float) -> float:
         return 1.0
     if z == math.inf:
         return math.inf
+    import scipy.special
+
     logz = math.log(z)
     n = 64
     while True:
@@ -795,6 +800,8 @@ def global_bound(sys: EvolutionSystem, x0_norm: float, u_norm: float,
         for _ in range(n_windows):
             b = (growth * b + h_t1 * u_norm + c_t1 * sigma_u) / (1.0 - CONTRACTION_TARGET)
         return b
+
+    import scipy.special
 
     C, kappa_plus = singular_kernel(sg, alpha)
     a_const = (

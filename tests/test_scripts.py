@@ -99,3 +99,25 @@ def test_bench_pairs_names_a_dirty_tree_by_its_diff(tmp_path):
     assert dirty["describe"] == clean["describe"] + "-dirty"
     assert dirty["diff_sha256"] == hashlib.sha256(git("diff", "HEAD")).hexdigest()
     assert bp.describe(tmp_path / "missing") is None
+
+
+def test_bench_pairs_cold_start_summary_on_canned_records():
+    # three rounds; the change wins the import twice, heat_decay never
+    wall = {("parent", "import"): [0.45, 0.50, 0.20],
+            ("change", "import"): [0.15, 0.18, 0.30],
+            ("parent", "heat_decay"): [0.50, 0.52, 0.54],
+            ("change", "heat_decay"): [0.50, 0.60, 0.70]}
+    records = [{"round": k, "side": side, "target": target, "wall_s": w[k]}
+               for (side, target), w in wall.items() for k in range(3)]
+    # a target timed on one side only has no summary
+    records.append({"round": 0, "side": "change", "target": "solo", "wall_s": 1.0})
+    bp = _bench_pairs()
+    s = bp.summarize_cold_start(records)
+    assert set(s) == {"import", "heat_decay"}
+    assert s["import"] == {"rounds": 3, "parent_median_s": 0.45, "change_median_s": 0.18,
+                           "gain_s": pytest.approx(0.27), "wins": 2}
+    assert s["heat_decay"]["wins"] == 0
+    assert s["heat_decay"]["gain_s"] == pytest.approx(-0.08)
+    assert bp.format_cold_start(s) == [
+        "  cold import: parent 0.450 s, change 0.180 s, gain +0.270 s, wins 2/3",
+        "  cold heat_decay: parent 0.520 s, change 0.600 s, gain -0.080 s, wins 0/3"]
