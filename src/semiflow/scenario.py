@@ -7,11 +7,13 @@ classes, registry names).  Both raise ScenarioError before anything is
 written, so a bad config never leaves partial outputs behind.
 
 Runs are deterministic: given the same scenario and overrides, the output
-files are byte-identical.
+files are byte-identical.  Every CSV table (trajectories, Burgers
+snapshots, admissibility estimates) goes through solver._write_rows, so
+each cell is the repr of a Python float.
 
 jsonschema is imported inside load_scenario, on the first scenario read,
-so importing the package or the command line loads numpy only (jsonschema
-is about 45 ms of import time).
+and orjson on the first CSV write, so importing the package or the
+command line loads numpy only (jsonschema is about 45 ms of import time).
 """
 
 from __future__ import annotations

@@ -30,16 +30,21 @@ the working norm (X, or X_alpha in analytic mode) and hands out the window
 constants c_t (nonlinear channel) and h_t (one per input block) every
 certificate reads; both come from admissibility.window_constant.
 
+The export functions write a trajectory as CSV (each cell the repr of a
+Python float, formatted a block of rows per orjson call by _write_rows)
+and its window diagnostics as JSON, byte-identical across reruns.
+
 scipy.special is imported inside global_bound's analytic branch and
-_mittag_leffler, its only users, so importing this module loads numpy
-only (scipy.special is about 40 ms of import time).
+_mittag_leffler, its only users, and orjson inside _write_rows, so
+importing this module loads numpy only (scipy.special is about 40 ms of
+import time).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -819,21 +824,43 @@ def global_bound(sys: EvolutionSystem, x0_norm: float, u_norm: float,
 # export
 
 
-# rows converted to Python floats at a time by _write_rows: a whole table
-# of Python floats would take about 4x its array
+# rows formatted per orjson call by _write_rows: the block's JSON text and
+# its lines stay a few hundred KB however long the table is
 _CSV_BLOCK_ROWS = 512
 
 
 def _write_rows(fh, columns: Sequence[np.ndarray]) -> None:
     """One CSV line per row of the column-stacked arrays (1-D arrays are
-    single columns), each value as the repr of a Python float (shortest
-    round-trip form, never a numpy scalar's repr), so reruns of a
-    deterministic scenario are byte-identical.  The columns are stacked
-    once and written _CSV_BLOCK_ROWS rows at a time."""
+    single columns), each value written as the repr of its Python float
+    (shortest round-trip form, never a numpy scalar's repr), so reruns of
+    a deterministic scenario are byte-identical.
+
+    The columns are stacked once, and each block of _CSV_BLOCK_ROWS rows is
+    formatted by one orjson.dumps call, whose nested-list text becomes the
+    block's lines.  orjson prints the same shortest round-trip digits as
+    repr, and in the range where repr prints a plain decimal (x == 0 or
+    1e-4 <= |x| < 1e16) it prints the same layout too, so those cells keep
+    orjson's token.  Every other cell is re-formatted by repr: outside that
+    range the layouts differ (orjson writes 1e-7, 1e16 and 0.00001 where
+    repr writes 1e-07, 1e+16 and 1e-05), and orjson writes null for nan
+    and +-inf.  orjson is imported here, on the first write, so importing
+    the package loads numpy only."""
+    import orjson
+
     table = np.column_stack([np.asarray(c, float) for c in columns])
     for i in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-        rows = table[i : i + _CSV_BLOCK_ROWS].tolist()
-        fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+        block = table[i : i + _CSV_BLOCK_ROWS]
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        lines = text[2:-2].split("],[")
+        mag = np.abs(block)
+        other = ~((block == 0.0) | ((mag >= 1e-4) & (mag < 1e16)))
+        for r in np.flatnonzero(other.any(axis=1)):
+            cells = lines[r].split(",")
+            for c in np.flatnonzero(other[r]):
+                cells[c] = repr(float(block[r, c]))
+            lines[r] = ",".join(cells)
+        fh.write("\n".join(lines))
+        fh.write("\n")
 
 
 def trajectory_to_csv(traj: Trajectory, path: str) -> None:
@@ -852,11 +879,12 @@ def trajectory_to_csv(traj: Trajectory, path: str) -> None:
 
 def trajectory_diagnostics_json(traj: Trajectory, path: str) -> None:
     payload = {
-        "status": asdict(traj.status),
+        "status": vars(traj.status),
         "n_samples": int(traj.n_samples),
         "t_final": float(traj.times[-1]),
         "alpha": traj.alpha,
-        "windows": [asdict(d) for d in traj.diagnostics],
+        # the fields are scalars, so each record's own dict serves as is
+        "windows": [vars(d) for d in traj.diagnostics],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -1,10 +1,10 @@
 """Import-time dependencies: importing semiflow loads numpy only.
 
 scipy.linalg (dense exponentials), scipy.special (the analytic
-global_bound) and jsonschema (scenario validation) are imported on first
-use.  Each first use runs in a fresh interpreter, so nothing this test
-process imported earlier can stand in for the deferred import, and must
-return what the same call returns here.  The hot paths (a dense memo hit,
+global_bound), jsonschema (scenario validation) and orjson (CSV export)
+are imported on first use.  Each first use runs in a fresh interpreter,
+so nothing this test process imported earlier can stand in for the
+deferred import, and must return what the same call returns here.  The hot paths (a dense memo hit,
 select_step) must execute no import statement at all.
 """
 
@@ -30,10 +30,10 @@ from semiflow import (
 from semiflow.nonlinearities import arctan_saturation
 
 ROOT = Path(__file__).resolve().parents[1]
-DEFERRED = ("scipy", "jsonschema")
+DEFERRED = ("scipy", "jsonschema", "orjson")
 
-# the child prints the deferred modules (scipy*, jsonschema*) loaded before
-# and after its call, then the call's result as JSON
+# the child prints the deferred modules (scipy*, jsonschema*, orjson*)
+# loaded before and after its call, then the call's result as JSON
 CHILD = """
 import json, sys
 def loaded():
@@ -103,6 +103,27 @@ def test_scenario_load_imports_jsonschema_on_first_use():
     assert "jsonschema" in out["after"]
     assert not any(m.startswith("scipy") for m in out["after"])
     assert out["result"] == load_scenario(str(ROOT / "scenarios" / "heat_decay.json"))
+
+
+def test_first_csv_export_imports_orjson(tmp_path):
+    # the 1e-5 and 1e-20 modes decay into cells that repr, not orjson, lays out
+    out = _fresh(f"""
+        import numpy as np
+        from semiflow.nonlinearities import arctan_saturation
+        sys_ = semiflow.EvolutionSystem(
+            semiflow.heat_dirichlet_semigroup(4), arctan_saturation(4, gain=0.5))
+        traj = semiflow.solve(
+            sys_, semiflow.SpectralState(np.array([1.0, 1e-5, -0.25, 1e-20])), None, 0.5)
+        semiflow.trajectory_to_csv(traj, {str(tmp_path / "child.csv")!r})
+        result = open({str(tmp_path / "child.csv")!r}).read()
+    """)
+    assert out["before"] == []
+    assert "orjson" in out["after"]
+    sys_ = EvolutionSystem(heat_dirichlet_semigroup(4), arctan_saturation(4, gain=0.5))
+    traj = semiflow.solve(sys_, semiflow.SpectralState(np.array([1.0, 1e-5, -0.25, 1e-20])),
+                          None, 0.5)
+    semiflow.trajectory_to_csv(traj, str(tmp_path / "here.csv"))
+    assert out["result"] == (tmp_path / "here.csv").read_text()
 
 
 def _imports_executed(call):

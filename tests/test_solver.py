@@ -1067,6 +1067,96 @@ def test_block_csv_writer_matches_rowwise_repr(rows):
     assert fh.getvalue() == _rowwise_csv([t, block, np.arange(rows, dtype=float)])
 
 
+# float64 values from arbitrary bit patterns: nan payloads, +-inf,
+# subnormals and +-0
+_BIT_PATTERN_FLOATS = st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+# each power of ten +-10^k, k = -6..17, with its two neighbours: the writer
+# switches from orjson's token to repr at 1e-4 and at 1e16
+_SWITCH_NEIGHBOURS = [
+    float(w)
+    for k in range(-6, 18)
+    for v in (10.0 ** k, -(10.0 ** k))
+    for w in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))
+]
+
+
+def _first_difference(got: str, want: str):
+    """None if the texts are equal, else the first differing line as
+    (index, got, want): a short failure report, where pytest's diff of two
+    long texts would take seconds on every failing example hypothesis shrinks."""
+    if got == want:
+        return None
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    i = next((i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+             min(len(got_lines), len(want_lines)))
+    return i, got_lines[i:i + 1], want_lines[i:i + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    drawn=st.lists(st.one_of(_BIT_PATTERN_FLOATS, st.floats()), min_size=1, max_size=16),
+    rows=st.sampled_from([0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS + 1]),
+)
+def test_block_csv_writer_matches_repr_on_any_float(drawn, rows):
+    import io
+
+    # the drawn values, then every switch neighbour, repeat cyclically over
+    # a 1-D column and a 4-column block: from 511 rows on every value lands
+    # in several columns, and past 512 rows in both blocks
+    pool = np.array(drawn + _SWITCH_NEIGHBOURS, dtype=float)
+    table = np.resize(pool, (rows, 5))
+    columns = [table[:, 0], table[:, 1:]]
+    fh = io.StringIO()
+    _write_rows(fh, columns)
+    assert _first_difference(fh.getvalue(), _rowwise_csv(columns)) is None
+
+
+def test_burgers_trajectory_csv_matches_rowwise_repr(tmp_path, monkeypatch):
+    # the paper's Burgers case study end to end: its decaying modes reach
+    # the 1e-5..1e-4 band, where orjson and repr lay a float out differently
+    import pathlib
+
+    import semiflow.scenario as scenario_module
+
+    trajs = []
+
+    def keep(traj, path):
+        trajs.append(traj)
+        trajectory_to_csv(traj, path)
+
+    monkeypatch.setattr(scenario_module, "trajectory_to_csv", keep)
+    root = pathlib.Path(__file__).resolve().parents[1]
+    sc = scenario_module.load_scenario(str(root / "scenarios" / "burgers_driven.json"))
+    assert scenario_module.run_scenario(sc, str(tmp_path), quiet=True) == 0
+    (traj,) = trajs
+    columns = [traj.times, traj.norms()]
+    if traj.alpha_norms is not None:
+        columns.append(traj.alpha_norms)
+    columns.append(traj.coeffs)
+    header, body = (tmp_path / "trajectory.csv").read_text().split("\n", 1)
+    assert header.startswith("t,norm_X,")
+    assert _first_difference(body, _rowwise_csv(columns)) is None
+    mag = np.abs(traj.coeffs)
+    assert np.any((mag >= 1e-5) & (mag < 1e-4))
+
+
+def test_diagnostics_json_writes_what_asdict_wrote(tmp_path):
+    sys = EvolutionSystem(heat_dirichlet_semigroup(4), arctan_saturation(4, gain=0.5))
+    traj = solve(sys, SpectralState(np.array([1.0, 0.5, -0.25, 0.125])), None, 0.5)
+    path = tmp_path / "diagnostics.json"
+    trajectory_diagnostics_json(traj, str(path))
+    payload = {
+        "status": asdict(traj.status),
+        "n_samples": int(traj.n_samples),
+        "t_final": float(traj.times[-1]),
+        "alpha": traj.alpha,
+        "windows": [asdict(d) for d in traj.diagnostics],
+    }
+    assert len(traj.diagnostics) > 1
+    assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_export_determinism(tmp_path):
     sg = heat_dirichlet_semigroup(4)
     sys = EvolutionSystem(sg, zero_nonlinearity(4))
