@@ -24,8 +24,22 @@ tree's src/: round k (k < N) runs `import semiflow`, then the command
 line on each scenarios/*.json of this tree, once in each tree back to
 back, the parent first in even rounds and second in odd ones.  Each
 target's median wall times, their change and the rounds the change won
-go under the cold_start key of --out.  With --cold-start, --workload may
-be left out.
+go under the cold_start key of --out.
+
+--trace-seed S runs the benchmark command once per tree and workload with
+--trace 1 --seconds 5 --seed S, after the workload's pairs (--pairs 0 runs
+none), and puts every count metric of the two runs (the call counts,
+windows, Picard iterations, bisections, f rows, select_step candidates)
+under the workload's counters key, each with an equal flag: counts that
+do not depend on the machine, so a change that keeps every window shows
+them all equal.
+
+--tier1 N runs the Tier-1 command (pytest over the tree, its src/ on
+PYTHONPATH, with --durations=0) N times per tree, the parent first in
+even rounds and second in odd ones, and records each side's median whole
+wall time and the median call duration of each acceptance test test_A*
+under the tier1 key.  With --cold-start or --tier1, --workload may be left
+out.
 """
 
 import argparse
@@ -34,6 +48,7 @@ import importlib.util
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -43,6 +58,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# seconds a traced run is given: the task count of --trace 1 follows from it
+TRACE_SECONDS = 5
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0"]
+# a --durations line of an acceptance test's call phase
+_ACCEPTANCE_CALL = re.compile(r"^\s*([0-9.]+)s\s+call\s+\S*::(test_A\d+\w*)\s*$")
 
 
 def _perfbench_run():
@@ -190,13 +210,10 @@ def cold_start(trees, n_rounds):
     return records
 
 
-def run_once(tree, bench, workload, seed):
-    """One run of bench's command in tree, for bench's run_seconds: its last
-    JSON line plus the wall time."""
+def run_bench(tree, bench, argv):
+    """(last JSON line, wall time) of one run of bench's command in tree."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     start = time.perf_counter()
-    argv = ["--workload", workload, "--seed", str(seed),
-            "--seconds", str(bench["run_seconds"])]
     done = subprocess.run(bench["command"] + argv, cwd=tree, env=env,
                           capture_output=True, text=True)
     wall = time.perf_counter() - start
@@ -204,10 +221,96 @@ def run_once(tree, bench, workload, seed):
     if done.returncode != 0 or not lines:
         sys.stderr.write(done.stderr)
         raise RuntimeError(f"benchmark run in {tree} exited {done.returncode}")
-    result = json.loads(lines[-1])
+    return json.loads(lines[-1]), wall
+
+
+def run_once(tree, bench, workload, seed):
+    """One run of bench's command in tree, for bench's run_seconds: its
+    tallies and metric values plus the wall time."""
+    result, wall = run_bench(tree, bench, ["--workload", workload, "--seed", str(seed),
+                                           "--seconds", str(bench["run_seconds"])])
     return {"wall_s": wall, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def compare_counters(results):
+    """{name: {"parent": value, "change": value, "equal": bool}} over every
+    metric with unit "count" in either side's result (a metric one side
+    lacks reads None there and is not equal)."""
+    names = sorted({name for r in results.values()
+                    for name, m in r["metrics"].items() if m["unit"] == "count"})
+    out = {}
+    for name in names:
+        values = {s: results[s]["metrics"].get(name, {}).get("value") for s in SIDES}
+        out[name] = {**values, "equal": values["parent"] is not None
+                     and values["parent"] == values["change"]}
+    return out
+
+
+def trace_counters(trees, bench, workload, seed):
+    """compare_counters of one traced run per tree."""
+    argv = ["--workload", workload, "--seed", str(seed), "--trace", "1",
+            "--seconds", str(TRACE_SECONDS)]
+    return compare_counters({s: run_bench(trees[s], bench, argv)[0] for s in SIDES})
+
+
+def acceptance_durations(text):
+    """{test name: call seconds} of the test_A* lines in pytest --durations
+    output."""
+    out = {}
+    for line in text.splitlines():
+        m = _ACCEPTANCE_CALL.match(line)
+        if m:
+            out[m.group(2)] = float(m.group(1))
+    return out
+
+
+def run_tier1(tree):
+    """Whole wall time, last output line and acceptance call durations of
+    one Tier-1 run in tree."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(tree / "src")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = done.stdout.strip().splitlines()
+    return {"wall_s": wall, "returncode": done.returncode,
+            "result": lines[-1] if lines else "",
+            "acceptance": acceptance_durations(done.stdout)}
+
+
+def summarize_tier1(records):
+    """Per side: the rounds, the median whole wall, and each acceptance
+    test's median call duration.  records: dicts with side, wall_s and
+    acceptance (test name -> seconds)."""
+    out = {}
+    for side in SIDES:
+        runs = [r for r in records if r["side"] == side]
+        if not runs:
+            continue
+        names = sorted({n for r in runs for n in r["acceptance"]},
+                       key=lambda n: int(re.match(r"test_A(\d+)", n).group(1)))
+        out[side] = {"rounds": len(runs),
+                     "wall_median_s": statistics.median(r["wall_s"] for r in runs),
+                     "acceptance_median_s": {
+                         n: statistics.median(r["acceptance"][n] for r in runs
+                                              if n in r["acceptance"]) for n in names}}
+    return out
+
+
+def tier1(trees, n_rounds):
+    """The Tier-1 records of n_rounds rounds, each tree once per round."""
+    records = []
+    for k in range(n_rounds):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            rec = run_tier1(trees[side])
+            rec.update(round=k, side=side)
+            records.append(rec)
+            print(f"tier1 round {k} {side}: wall {rec['wall_s']:.1f} s, "
+                  f"{rec['result']}", flush=True)
+    return records
 
 
 def _git(tree, *argv):
@@ -240,10 +343,15 @@ def main(argv=None):
     p.add_argument("--cold-start", type=int, default=0, metavar="N",
                    help="also time N rounds of fresh-interpreter imports and "
                         "command-line scenario runs per tree")
+    p.add_argument("--trace-seed", type=int, default=None, metavar="S",
+                   help="also compare the count metrics of one traced run per "
+                        "tree and workload, with seed S")
+    p.add_argument("--tier1", type=int, default=0, metavar="N",
+                   help="also time N rounds of the Tier-1 tests per tree")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
-    if not args.workload and not args.cold_start:
-        p.error("give --workload or --cold-start")
+    if not args.workload and not args.cold_start and not args.tier1:
+        p.error("give --workload, --cold-start or --tier1")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     trees = {"parent": args.parent.resolve(), "change": ROOT}
@@ -259,6 +367,15 @@ def main(argv=None):
                                 "runs": records}
         args.out.write_text(json.dumps(report, indent=1) + "\n")
         print("\n".join(format_cold_start(summary)), flush=True)
+    if args.tier1:
+        records = tier1(trees, args.tier1)
+        report["tier1"] = {"rounds": args.tier1, "summary": summarize_tier1(records),
+                           "runs": records}
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+        for side, m in report["tier1"]["summary"].items():
+            print(f"  tier1 {side}: median wall {m['wall_median_s']:.1f} s, " + ", ".join(
+                f"{n.split('_')[1]} {v:.2f}" for n, v in m["acceptance_median_s"].items()),
+                flush=True)
     for workload in args.workload:
         records = []
         for k in range(args.pairs):
@@ -273,11 +390,20 @@ def main(argv=None):
                       f"failed {rec['failed']}, " + ", ".join(
                           f"{n} {v:.4g}" for n, v in rec["metrics"].items()),
                       flush=True)
-        summary = summarize(records, bench["end_to_end"])
-        workloads[workload] = {"seconds": bench["run_seconds"], "summary": summary,
-                               "runs": records}
+        entry = workloads[workload] = {"seconds": bench["run_seconds"]}
+        if records:
+            entry.update(summary=summarize(records, bench["end_to_end"]), runs=records)
+            print("\n".join(format_summary(workload, entry["summary"])), flush=True)
+        if args.trace_seed is not None:
+            counters = trace_counters(trees, bench, workload, args.trace_seed)
+            entry["counters"] = {"seed": args.trace_seed, "seconds": TRACE_SECONDS,
+                                 "all_equal": all(c["equal"] for c in counters.values()),
+                                 "metrics": counters}
+            unequal = [n for n, c in counters.items() if not c["equal"]]
+            print(f"  {workload} traced counters (seed {args.trace_seed}): "
+                  f"{len(counters) - len(unequal)}/{len(counters)} equal"
+                  + (f"; differ: {', '.join(unequal)}" if unequal else ""), flush=True)
         args.out.write_text(json.dumps(report, indent=1) + "\n")
-        print("\n".join(format_summary(workload, summary)), flush=True)
     return 0
 
 

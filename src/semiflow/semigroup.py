@@ -13,7 +13,11 @@ of a window that does not depend on x0 or the input, its propagation plan
 (the substep grid, the scan powers, the weights of the f samples, and on
 the diagonal T(tau)), is memoised per instance on the exact (t1, S), in a
 byte budget: the solver's window lengths repeat (dyadic fractions of the
-same caps).  The dense mode's exponentials sit in the same memo.
+same caps).  The diagonal mode's input integrals (one (S+1, N) array per
+power of the input polynomial) sit in the same memo, keyed on (t1, S, d),
+when they fit its budget; so do the dense mode's exponentials.  _act and
+_scan are the one doubling scan both modes share; it writes each product
+into a caller-owned scratch block instead of a temporary.
 
 scipy.linalg is imported inside _matrix_exp, on a DenseGenerator's first
 memo miss, so importing this module loads numpy only; a memo hit runs no
@@ -86,33 +90,57 @@ def poly_exp_integral(mu: np.ndarray, t, k: int) -> np.ndarray:
     return np.where(small, acc, rec)
 
 
-def _act(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """M applied to the last axis of x: per-mode factors (diagonal mode)
-    or a matrix (dense mode)."""
-    return M * x if M.ndim == 1 else x @ M.T
+def _act(M: np.ndarray, shape: Tuple[int, ...]):
+    """M applied to the last axis of arrays x of the given shape, as (op, K):
+    op(x, K, out) writes M x into out, which must not overlap x.  Per-mode
+    factors (diagonal mode) act as x * K with K the factors tiled to the
+    shape, so the ufunc sees two operands of one shape and takes numpy's
+    contiguous loop, which at window sizes (17 x 12, 17 x 1) skips about
+    0.5 us of broadcast set-up per call for the same products; a matrix
+    (dense mode) acts as x @ M.T."""
+    if M.ndim == 1:
+        K = np.empty(shape)
+        K[...] = M
+        return np.multiply, K
+    return np.matmul, M.T
 
 
-def _scan(c: np.ndarray, powers) -> np.ndarray:
-    """Solve c[j+1] = E c[j] + r_j in place, given the n rows
-    c = [c0, r_0, ..., r_{n-2}] along axis 0 and powers[k] = E^(2^k) for
-    k < (n-1).bit_length() = ceil(log2 n); later powers are not read.
+def _scan_steps(c: np.ndarray, powers, work: np.ndarray):
+    """The doubling steps of a _scan of the n rows of c, for offsets
+    d = 2^k, k < (n-1).bit_length() = ceil(log2 n): (op, c[:-d], K,
+    work[:n-d], c[d:]) with (op, K) the _act of powers[k] = E^(2^k); later
+    powers are not read.  work holds at least n-1 rows shaped like c's, and
+    no row of c.  Built once per window, the steps serve every sweep over
+    the same c."""
+    n = c.shape[0]
+    steps = []
+    for k in range((n - 1).bit_length()):
+        d = 1 << k
+        steps.append((*_act(powers[k], c[d:].shape), c[: n - d], work[: n - d], c[d:]))
+    return steps
+
+
+def _scan(steps) -> None:
+    """Solve c[j+1] = E c[j] + r_j in place over the rows
+    c = [c0, r_0, ..., r_{n-2}] of _scan_steps(c, powers, work).
 
     Hillis-Steele doubling (Blelloch 1990): after the step with offset d
     every row holds its recurrence value restricted to the last 2d inputs,
     so ceil(log2 n) steps of c[d:] += E^d c[:-d] replace n-1 sequential
-    ones.
+    ones.  Each step writes E^d c[:-d] into its work rows, then adds them
+    onto c[d:]: the two roundings per element of c[d:] += E^d c[:-d],
+    without a temporary array.
     """
-    for k in range((c.shape[0] - 1).bit_length()):
-        d = 1 << k
-        c[d:] += _act(powers[k], c[:-d])
-    return c
+    for op, K, src, tmp, dst in steps:
+        np.add(dst, op(src, K, tmp), dst)
 
 
-# bytes of window plans one DiagonalSemigroup keeps.  Over five props_diag
-# suites (12 modes, S = 16, 2.3 kB a plan) 89% of the windows repeat an
-# exact (t1, S), and 83% of the plans hit at this budget, 81% at half of
-# it and 88% at four times it; the larger memo costs resident memory and
-# buys little.
+# bytes of window plans and input integrals one DiagonalSemigroup keeps.
+# Over five props_diag suites (12 modes, S = 16, 2.3 kB a plan) 89% of the
+# windows repeat an exact (t1, S), and 83% of the plans hit at this budget
+# alone, 81% at half of it and 88% at four times it; the larger memo costs
+# resident memory and buys little.  With the integrals (1.6 kB a window
+# length) in it, 81% of the plan and 69% of the integral requests hit.
 _PLAN_MEMO_BYTES = 1 << 16
 
 
@@ -260,7 +288,9 @@ class DiagonalSemigroup:
     def sg_distance(self, t: float, coeffs: np.ndarray, alpha: float = 0.0) -> float:
         """|(T(t) - I) x| in the X_alpha norm; the strong-continuity modulus."""
         w = 1.0 if alpha == 0.0 else self.frac_weights(alpha)
-        return float(np.linalg.norm(w * (np.exp(self.mu * t) - 1.0) * np.asarray(coeffs, float)))
+        # np.linalg.norm of the fresh 1-D v, bit for bit, without its wrapper
+        v = w * (np.exp(self.mu * t) - 1.0) * np.asarray(coeffs, float)
+        return math.sqrt(v.dot(v))
 
     def window(self, t1: float, S: int, x0: np.ndarray, forcing):
         """(tau, powers, A1, A2, free, lin) of one solver window [0, t1] of S
@@ -269,13 +299,20 @@ class DiagonalSemigroup:
         ends of a substep (piecewise-linear reconstruction); free = T(tau) x0;
         lin = free + int_0^tau T_{-1}(tau-s) B p(s) ds.  forcing holds one
         (d+1, N) array per input block, row k of block i being B_i p_k.
-        convolve gives each block's part; summed across blocks, then onto
-        free: that order keeps the bytes.  Everything but free and lin is
-        the plan of (t1, S), memoised and read-only."""
+        Each block's part is its rows against the integrals of convolve,
+        summed across blocks, then onto free: that order keeps the bytes.
+        Everything but free and lin is the plan of (t1, S), memoised and
+        read-only; so are the integrals poly_exp_integral(mu, tau, k), k < d,
+        keyed on (t1, S, d), while they fit the memo's budget (one
+        (S+1, N) array for a piecewise-constant input)."""
         tau, powers, A1, A2, T = self._memo.get(("W", t1, S), lambda: self._plan(t1, S))
         free = T * x0[None, :]
-        lin = free + reduce(np.add, self.convolve(tau[:, None], forcing)) if forcing else free
-        return tau, powers, A1, A2, free, lin
+        if not forcing:
+            return tau, powers, A1, A2, free, free
+        d = max(map(len, forcing))
+        ints = self._memo.get(("I", t1, S, d),
+                              lambda: self._integrals(tau[:, None], d))
+        return tau, powers, A1, A2, free, free + reduce(np.add, _combine(forcing, ints))
 
     def _plan(self, t1: float, S: int):
         """(tau, powers, A1, A2, T(tau)) of window; linspace puts t1 at the end
@@ -287,14 +324,21 @@ class DiagonalSemigroup:
         p2 = phi2(z)
         return tau, powers, h * (phi1(z) - p2), h * p2, np.exp(np.outer(tau, self.mu))
 
+    def _integrals(self, t, d: int):
+        """(poly_exp_integral(mu, t, k) for k < d)."""
+        return tuple([poly_exp_integral(self.mu, t, k) for k in range(d)])
+
     def convolve(self, t, forcing):
         """int_0^t e^{mu (t-s)} sum_k rows[k] s^k ds per mode for each block
         rows of forcing (B p_k for an input B p); t broadcasts against mu as
         in poly_exp_integral.  Each k's integral is computed once for all
         blocks; each block sums its own k in increasing order."""
-        ints = [poly_exp_integral(self.mu, t, k)
-                for k in range(max(map(len, forcing), default=0))]
-        return [sum(r * I for r, I in zip(rows, ints)) for rows in forcing]
+        return _combine(forcing, self._integrals(t, max(map(len, forcing), default=0)))
+
+
+def _combine(forcing, ints):
+    """Each block's sum over k of rows[k] * ints[k], k increasing."""
+    return [sum(r * I for r, I in zip(rows, ints)) for rows in forcing]
 
 
 def _matrix_exp(M: np.ndarray) -> np.ndarray:
@@ -395,7 +439,7 @@ class DenseGenerator:
             c[1:, 1] = reduce(np.add, [
                 np.multiply.outer(math.comb(i, k) * tau[:-1] ** (i - k), Q[k] @ Bp[i])
                 for k in range(d + 1) for i in range(k, d + 1)])
-        _scan(c, powers)
+        _scan(_scan_steps(c, powers, np.empty_like(c[1:])))
         return tau, powers, P1 - P2, P2, c[:, 0], c[:, 1]
 
     @staticmethod

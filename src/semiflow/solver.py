@@ -21,7 +21,13 @@ recurrence conv_{j+1} = E conv_j + A1 g_j + A2 g_{j+1} from conv_0 = 0,
 solved by one doubling scan of the S rows 1..S: ceil(log2 S) array steps
 c[d:] += E^d c[:-d], d = 1, 2, 4, ...  The powers E^(2^k), the grid and
 the weights form the window's propagation plan, which the semigroup
-memoises per exact (t1, S), so a repeated window length builds none of it.
+memoises per exact (t1, S), so a repeated window length builds none of it;
+the diagonal semigroup keeps the window's input integrals in the same memo.
+A window allocates its buffers and binds its scan steps once, so a Picard
+iteration is the f batch, the A1/A2 products, the scan (each product
+written into a scratch block, then added), one add and the stop norm,
+every rounding as in the plain c[d:] += E^d c[:-d].  In X mode the weights
+are exact ones and no pass multiplies or divides by them.
 
 In analytic mode the iteration runs on y = (omega*I - A)^alpha x with the
 singular-kernel window certificate; a bounded-generator dense-matrix mode
@@ -51,7 +57,8 @@ import numpy as np
 
 from .core import InputSignal, Nonlinearity, SpectralState, _max_row_norm
 # poly_exp_integral is unused here; the tests and perfbench's tracer look it up here
-from .semigroup import DiagonalSemigroup, DenseGenerator, _act, _scan, poly_exp_integral
+from .semigroup import (DiagonalSemigroup, DenseGenerator, _act, _scan, _scan_steps,
+                        poly_exp_integral)
 from .admissibility import (
     Bounded,
     InputOperator,
@@ -180,6 +187,10 @@ CONTRACTION_TARGET = 0.5
 _RATIO_ROUNDOFF = 0.2
 
 
+def _unchanged(a: np.ndarray) -> np.ndarray:
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class EvolutionSystem:
     """Semilinear system dx/dt = A x + B2 f(x, u) + B u on a spectral truncation.
@@ -202,7 +213,8 @@ class EvolutionSystem:
     refused, since the canonical boundary-driven example lives there.
 
     weights are the X_alpha mode weights in analytic mode and exact ones
-    otherwise, so X-mode arithmetic through them changes no bit.
+    otherwise, so X-mode arithmetic through them changes no bit; the
+    kernel and solve skip it (_weigh and _unweigh are the identity there).
     """
 
     semigroup: Union[DiagonalSemigroup, DenseGenerator]
@@ -238,6 +250,9 @@ class EvolutionSystem:
                                      "the dense ODE mode")
         if not 0.0 <= a < 1.0:
             raise ValueError("analytic order must lie in [0, 1)")
+        # raw X coefficients to working coordinates and back; in X mode the
+        # weights are exact ones, and both return their argument
+        w, weigh, unweigh = np.ones(sg.n_modes), _unchanged, _unchanged
         if a > 0.0:
             if not (isinstance(sg, DiagonalSemigroup) and sg.analytic):
                 raise ValueError("analytic mode needs an analytic semigroup")
@@ -247,9 +262,12 @@ class EvolutionSystem:
                 raise ValueError(
                     "analytic mode needs a bounded or smooth_class input operator"
                 )
-        w = sg.frac_weights(a) if a > 0.0 else np.ones(sg.n_modes)
+            w = sg.frac_weights(a)
+            weigh, unweigh = (lambda c: c * w), (lambda y: y / w)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_weigh", weigh)
+        object.__setattr__(self, "_unweigh", unweigh)
         # gain and input_gain depend on t alone (every field is read-only),
         # and select_step asks for the same dyadic lengths window after window
         object.__setattr__(self, "_window_memo", {})
@@ -276,13 +294,11 @@ class EvolutionSystem:
         cols = self.input_columns
         return cols[-1].stop if cols else 1
 
-    def b2_apply(self, G: np.ndarray) -> np.ndarray:
-        """B2 applied to each row of the (P, N) block G."""
-        return G if self.B2 is None else G @ self.B2.coeffs.T
-
     def working_norm(self, c: np.ndarray) -> float:
-        """Norm of the raw X coefficients c in the working space."""
-        return float(np.linalg.norm(self.weights * c))
+        """Norm of the raw X coefficients c in the working space: the
+        np.linalg.norm of the weighted c, bit for bit, without its wrapper."""
+        v = self._weigh(np.asarray(c, float)).ravel(order="K")
+        return math.sqrt(v.dot(v))
 
     def _memoised(self, key, compute):
         memo = self._window_memo
@@ -333,10 +349,15 @@ class SolverConfig:
     def __post_init__(self):
         if self.substeps_per_window < 8:
             raise ValueError("substeps_per_window must be >= 8")
-        if self.picard_tol <= 0 or self.blowup_threshold <= 0:
-            raise ValueError("tolerances must be positive")
-        if not self.window_cap > 0:
-            raise ValueError("window_cap must be positive")
+        # an infinite picard_tol stops every window after one iteration, and
+        # nan compares false with everything
+        for name in ("picard_tol", "blowup_threshold", "window_cap"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if self.max_window_bisections < 0:
+            raise ValueError("max_window_bisections must be >= 0, "
+                             f"got {self.max_window_bisections!r}")
 
 
 @dataclass(frozen=True)
@@ -545,21 +566,32 @@ def _picard_window_raw(sys: EvolutionSystem, x0: np.ndarray, p: PolySignal,
     tau, powers, A1, A2, free, lin = sys.semigroup.window(
         t1, cfg.substeps_per_window, x0, forcing)
 
-    w = sys.weights[None, :]
-    lin_w = lin * w
-    y = free * w
+    weigh, unweigh = sys._weigh, sys._unweigh
+    lin_w = weigh(lin)
+    y = weigh(free)
     u_vals = p.value(tau)
+    f_batch = sys.f.batch
+    B2T = None if sys.B2 is None else sys.B2.coeffs.T
 
     scale = max(1.0, _max_row_norm(lin_w))
     ratio_floor = max(10.0 * cfg.picard_tol, 1e-13 * scale)
     contraction = 0.0
     prev_delta = None
-    # row 0 stays 0: the scan runs on rows 1..S
-    conv = np.zeros_like(y)
+    # allocated once per window: row 0 of conv stays 0 (the scan runs on
+    # rows 1..S), and work takes each product before it is added
+    conv = np.zeros(lin.shape)
+    c = conv[1:]
+    work = np.empty_like(c)
+    steps = _scan_steps(c, powers, work)
+    (op1, K1), (op2, K2) = _act(A1, c.shape), _act(A2, c.shape)
     for k in range(MAX_PICARD_ITERS):
-        g = sys.b2_apply(sys.f.batch(y / w, u_vals)) * w
-        conv[1:] = _act(A1, g[:-1]) + _act(A2, g[1:])
-        _scan(conv[1:], powers)
+        g = f_batch(unweigh(y), u_vals)
+        if B2T is not None:
+            g = g @ B2T
+        g = weigh(g)
+        # c = A1 g[:-1] + A2 g[1:]
+        np.add(op1(g[:-1], K1, c), op2(g[1:], K2, work), c)
+        _scan(steps)
         y_new = lin_w + conv
         delta = _max_row_norm(y_new - y)
         y = y_new
@@ -599,7 +631,6 @@ def solve(sys: EvolutionSystem, x0: SpectralState, u: Optional[DrivingSignal],
         u = InputSignal.zero(sys.input_channels, t_end)
     if u.horizon < t_end - 1e-12:
         raise ValueError(f"input defined to {u.horizon}, solve needs {t_end}")
-    w = sys.weights[None, :]
     if sys.alpha > 0.0 and outside_x_alpha(sys.weights * x0.coeffs):
         raise ValueError(
             "initial state not in X_alpha: weighted mass keeps growing "
@@ -665,11 +696,13 @@ def solve(sys: EvolutionSystem, x0: SpectralState, u: Optional[DrivingSignal],
             t_start=t, t1=t1, K=K, delta=delta, lipschitz=lipschitz, c_t=c_t,
             picard_iters=iters, contraction_observed=contraction, bisections=bis))
 
-        coeffs = y / w
-        norms_w = np.linalg.norm(y, axis=1)
-        crossing = np.nonzero(norms_w >= cfg.blowup_threshold)[0]
+        coeffs = sys._unweigh(y)
         end_j = coeffs.shape[0] - 1
-        if crossing.size > 0:
+        # the working row norms are np.linalg.norm(y, axis=1) bit for bit;
+        # the crossing is searched only when the largest reaches the threshold
+        sq = np.add.reduce(y * y, axis=1)
+        if math.sqrt(np.maximum.reduce(sq)) >= cfg.blowup_threshold:
+            crossing = np.flatnonzero(np.sqrt(sq) >= cfg.blowup_threshold)
             end_j = max(int(crossing[0]), 1)
             status = Status.blowup(float(t + tau[end_j]))
 
@@ -694,7 +727,8 @@ def solve(sys: EvolutionSystem, x0: SpectralState, u: Optional[DrivingSignal],
         window_boundaries=np.array(boundaries[:-1], dtype=int),
         diagnostics=diags,
         alpha=sys.alpha or None,
-        alpha_norms=np.linalg.norm(coeffs * w, axis=1) if sys.alpha > 0.0 else None,
+        alpha_norms=(np.linalg.norm(coeffs * sys.weights, axis=1)
+                     if sys.alpha > 0.0 else None),
     )
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -180,6 +181,21 @@ def test_failed_certification_exits_3_unless_expected(tmp_path, capsys):
     rc = main([write_scenario(tmp_path, sc, "expected.json"),
                "--out", str(tmp_path / "b"), "--quiet"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("name, value", [
+    ("picard_tol", math.inf), ("picard_tol", math.nan),
+    ("blowup_threshold", math.inf), ("window_cap", math.inf)])
+def test_non_finite_solver_setting_exits_1(tmp_path, capsys, name, value):
+    # Python's json reads Infinity and NaN, and the schema's exclusiveMinimum
+    # lets both through; with picard_tol = Infinity the blow-up run stopped
+    # each window after one iteration, missed ln 2 by 10% and exited 0
+    sc = json.loads(open(repo_scenario("blowup_square.json")).read())
+    del sc["expect"]
+    sc["solver"] = {name: value}
+    rc = main([write_scenario(tmp_path, sc), "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 1
+    assert f"solver config: {name} must be positive and finite" in capsys.readouterr().err
 
 
 def test_blowup_scenario(tmp_path):

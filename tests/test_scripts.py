@@ -121,3 +121,69 @@ def test_bench_pairs_cold_start_summary_on_canned_records():
     assert bp.format_cold_start(s) == [
         "  cold import: parent 0.450 s, change 0.180 s, gain +0.270 s, wins 2/3",
         "  cold heat_decay: parent 0.520 s, change 0.600 s, gain -0.080 s, wins 0/3"]
+
+
+def test_bench_pairs_compares_traced_counters_on_canned_records():
+    def result(metrics):
+        return {"correct": True, "metrics": {
+            n: {"value": v, "unit": u} for n, (v, u) in metrics.items()}}
+
+    results = {
+        "parent": result({"solver.solve.calls": (40, "count"),
+                          "solver.picard_iters": (2790, "count"),
+                          "core.f_rows": (47430, "count"),
+                          "solver.solve.self_s": (0.31, "s")}),
+        "change": result({"solver.solve.calls": (40, "count"),
+                          "solver.picard_iters": (2791, "count"),
+                          "solver.windows": (441, "count"),
+                          "solver.solve.self_s": (0.25, "s")}),
+    }
+    c = _bench_pairs().compare_counters(results)
+    # the self time is no count; a counter one side lacks is not equal
+    assert list(c) == ["core.f_rows", "solver.picard_iters", "solver.solve.calls",
+                       "solver.windows"]
+    assert c["solver.solve.calls"] == {"parent": 40, "change": 40, "equal": True}
+    assert c["solver.picard_iters"]["equal"] is False
+    assert c["core.f_rows"] == {"parent": 47430, "change": None, "equal": False}
+    assert c["solver.windows"] == {"parent": None, "change": 441, "equal": False}
+
+
+CANNED_PYTEST = """\
+........................................................................ [ 23%]
+============================= acceptance criteria ==============================
+A2 PASS: escape times 0.999899, 0.999989, 0.999998 vs 1.0 exact
+============================== slowest durations ===============================
+{a10}s call     tests/test_acceptance.py::test_A10_equilibrium_persistence_table
+2.61s call     tests/test_acceptance.py::test_A4_deviation_bound
+0.31s setup    tests/test_acceptance.py::test_A4_deviation_bound
+0.90s call     tests/test_bcs.py::test_A_like_but_not_acceptance
+0.07s call     tests/test_acceptance.py::test_A2_blowup_bracketing
+0.05s call     tests/test_solver.py::test_window_scan[A2]
+
+(1201 durations < 0.005s hidden.  Use -vv to show these durations.)
+307 passed in 18.52s
+"""
+
+
+def test_bench_pairs_tier1_durations_on_canned_pytest_output():
+    bp = _bench_pairs()
+    # only the call phase of a test_A<k> function counts
+    assert bp.acceptance_durations(CANNED_PYTEST.format(a10="4.91")) == {
+        "test_A10_equilibrium_persistence_table": 4.91,
+        "test_A4_deviation_bound": 2.61,
+        "test_A2_blowup_bracketing": 0.07}
+    records = [{"side": side, "wall_s": wall,
+                "acceptance": bp.acceptance_durations(CANNED_PYTEST.format(a10=a10))}
+               for side, wall, a10 in [("parent", 20.0, "5.0"), ("change", 17.0, "4.0"),
+                                       ("change", 16.0, "4.5"), ("parent", 22.0, "6.0"),
+                                       ("parent", 21.0, "5.5")]]
+    s = bp.summarize_tier1(records)
+    assert s["parent"]["rounds"] == 3 and s["change"]["rounds"] == 2
+    assert s["parent"]["wall_median_s"] == 21.0
+    assert s["change"]["wall_median_s"] == 16.5
+    # ordered by acceptance number
+    assert list(s["change"]["acceptance_median_s"]) == [
+        "test_A2_blowup_bracketing", "test_A4_deviation_bound",
+        "test_A10_equilibrium_persistence_table"]
+    assert s["parent"]["acceptance_median_s"]["test_A10_equilibrium_persistence_table"] == 5.5
+    assert s["change"]["acceptance_median_s"]["test_A10_equilibrium_persistence_table"] == 4.25

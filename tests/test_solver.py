@@ -1043,6 +1043,21 @@ def test_solver_config_refuses_nonpositive_window_cap(cap):
         SolverConfig(window_cap=cap)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["picard_tol", "blowup_threshold", "window_cap"])
+def test_solver_config_refuses_non_finite_settings(name, value):
+    # an infinite picard_tol stopped every window after one Picard iteration
+    # and reported a wrong blow-up time as a success
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        SolverConfig(**{name: value})
+
+
+def test_solver_config_refuses_negative_bisections():
+    with pytest.raises(ValueError, match="max_window_bisections must be >= 0"):
+        SolverConfig(max_window_bisections=-3)
+    assert SolverConfig(max_window_bisections=0).max_window_bisections == 0
+
+
 def _rowwise_csv(columns) -> str:
     """Reference writer: one row at a time, each value's Python float repr."""
     cols = [np.asarray(c, float) for c in columns]
