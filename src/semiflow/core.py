@@ -171,16 +171,8 @@ class InputSignal:
         if tau >= self.horizon - 1e-15:
             raise ValueError("shift past the signal horizon")
         i = self._cell_index(tau, "right")
-        new_grid = np.concatenate(([tau], self.grid[i + 1 :])) - tau
-        new_grid[0] = 0.0
-        new_grid.setflags(write=False)
-        # a shift of a valid signal is valid: it skips __post_init__'s checks
-        # and copies (the solver shifts once per window), and shares the
-        # read-only values
-        shifted = object.__new__(InputSignal)
-        object.__setattr__(shifted, "grid", new_grid)
-        object.__setattr__(shifted, "values", self.values[i:])
-        return shifted
+        return InputSignal(np.concatenate(([0.0], self.grid[i + 1 :] - tau)),
+                           self.values[i:])
 
     def restrict(self, t1: float) -> "InputSignal":
         """Restriction to [0, t1]."""

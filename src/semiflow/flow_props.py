@@ -14,7 +14,6 @@ witness (the sample achieving the worst ratio) so failures replay.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
@@ -33,6 +32,7 @@ from .solver import (
     EvolutionSystem,
     SolverConfig,
     Trajectory,
+    _write_json,
     solve,
     global_bound,
 )
@@ -99,28 +99,26 @@ def format_reports(reports: Sequence[PropertyReport]) -> str:
 
 
 def reports_to_json(reports: Sequence[PropertyReport], path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump([r.as_dict() for r in reports], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, [r.as_dict() for r in reports])
 
 
 # ---------------------------------------------------------------------------
 # seeded sample generation
 
-def draw_states(rng: np.random.Generator, n_modes: int, radius: float,
-                count: int, weights: Optional[np.ndarray] = None) -> List[np.ndarray]:
-    """count states of working norm <= radius; axis corners first.
+def draw_states(rng: np.random.Generator, sys: EvolutionSystem, radius: float,
+                count: int) -> List[np.ndarray]:
+    """count states of sys's working norm <= radius; axis corners first.
 
-    With weights the draws carry an extra 1/(1+k) envelope on the weighted
+    In analytic mode the draws carry a 1/(1+k) envelope on the weighted
     coordinates and the high corner moves below the top octave: samples
     must decay along the truncation ladder, not just have finite norm; a
     draw that the solver's X_alpha screen (outside_x_alpha) refuses is redrawn.
     """
+    n_modes, w = sys.n_modes, sys.weights
+    analytic = sys.alpha > 0.0
     out: List[np.ndarray] = []
-    w = np.ones(n_modes) if weights is None else weights
-    env = np.ones(n_modes) if weights is None \
-        else 1.0 / (1.0 + np.arange(n_modes))
-    hi = n_modes - 1 if weights is None else max(0, n_modes // 2 - 1)
+    env = 1.0 / (1.0 + np.arange(n_modes)) if analytic else np.ones(n_modes)
+    hi = max(0, n_modes // 2 - 1) if analytic else n_modes - 1
     for k in (0, hi):
         e = np.zeros(n_modes)
         e[k] = radius / w[k]
@@ -129,7 +127,7 @@ def draw_states(rng: np.random.Generator, n_modes: int, radius: float,
         x = rng.normal(size=n_modes) * env / w
         nrm = float(np.linalg.norm(w * x))
         x = x * (radius * rng.uniform(0.3, 1.0) / nrm) if nrm > 0 else np.zeros(n_modes)
-        if weights is None or not outside_x_alpha(w * x):
+        if not analytic or not outside_x_alpha(w * x):
             out.append(x)
     return out[:count]
 
@@ -190,9 +188,8 @@ def check_axioms(sys: EvolutionSystem, t_end: float, n_samples: int = 5,
     """
     cfg = cfg or SolverConfig()
     rng = np.random.default_rng(seed)
-    w = sys.weights if sys.alpha > 0.0 else None
     m = sys.input_channels
-    states = draw_states(rng, sys.n_modes, radius, n_samples, w)
+    states = draw_states(rng, sys, radius, n_samples)
     inputs = draw_signals(rng, m, input_radius, t_end, n_samples)
     tails = draw_signals(rng, m, input_radius, t_end, n_samples)
 
@@ -341,8 +338,7 @@ def deviation_suite(sys: EvolutionSystem, tau: float, n_pairs: int = 20,
                     cfg: Optional[SolverConfig] = None) -> PropertyReport:
     """Seeded aggregation of check_deviation over random pairs."""
     rng = np.random.default_rng(seed)
-    w = sys.weights if sys.alpha > 0.0 else None
-    states = draw_states(rng, sys.n_modes, radius, 2 * n_pairs, w)
+    states = draw_states(rng, sys, radius, 2 * n_pairs)
     inputs = draw_signals(rng, sys.input_channels, input_radius, tau, n_pairs)
     worst, witness, used = 0.0, {}, 0
     for i in range(n_pairs):
@@ -484,7 +480,6 @@ def check_cep(sys: EvolutionSystem, eps_grid: Sequence[float],
         raise ValueError(f"origin is not an equilibrium: |f(0,0)| = {f00:.3g}")
     cfg = cfg or SolverConfig()
     sat = saturated_system(sys)
-    w = sys.weights if sys.alpha > 0.0 else None
     rng = np.random.default_rng(seed)
     m = sys.input_channels
 
@@ -494,7 +489,7 @@ def check_cep(sys: EvolutionSystem, eps_grid: Sequence[float],
         for horizon in h_grid:
             delta, found, sup_found = float(eps), None, math.inf
             for _ in range(ladder_steps + 1):
-                states = draw_states(rng, sys.n_modes, delta, n_samples, w)
+                states = draw_states(rng, sys, delta, n_samples)
                 signals = draw_signals(rng, m, delta, horizon, n_samples)
                 sup = 0.0
                 for x0, u in zip(states, signals):
@@ -532,8 +527,7 @@ def check_brs(sys: EvolutionSystem, C: float, tau: float, n_samples: int = 20,
     """
     cfg = cfg or SolverConfig()
     rng = np.random.default_rng(seed)
-    w = sys.weights if sys.alpha > 0.0 else None
-    states = draw_states(rng, sys.n_modes, C, n_samples, w)
+    states = draw_states(rng, sys, C, n_samples)
     signals = draw_signals(rng, sys.input_channels, C, tau, n_samples)
     sup_x, sup_w, witness = 0.0, 0.0, {}
     for i, (x0, u) in enumerate(zip(states, signals)):

@@ -55,6 +55,7 @@ from .solver import (
     PolySignal,
     SolverConfig,
     Trajectory,
+    _write_json,
     _write_rows,
     solve,
     trajectory_diagnostics_json,
@@ -549,8 +550,7 @@ def _finish_traj(expect: Optional[dict], traj: Trajectory, quiet: bool, summary:
 def _run_solve(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
     sys_ = _build_system(sc["system"], modes)
     x0 = _build_state(sc["x0"], sys_.n_modes)
-    # u drives B when present; without B the channel count is f's business
-    u = _build_input(sc.get("input"), sys_.input_channels if sys_.B is not None else None)
+    u = _build_input(sc.get("input"))  # solve checks its channels against B
     cfg = _build_cfg(sc.get("solver"), substeps)
     traj = solve(sys_, x0, u, sc["t_end"], cfg,
                  checkpoint_times=sc.get("checkpoints"))
@@ -661,8 +661,7 @@ def _dependence_pairs(sys_: EvolutionSystem, p: dict, seed: int):
     radius = p.get("radius", 0.5)
     eps0 = p.get("perturbation", 0.1)
     tau = p.get("tau", 0.5)
-    w = sys_.weights if sys_.alpha > 0.0 else None
-    states = draw_states(rng, sys_.n_modes, radius, n_pairs, w)
+    states = draw_states(rng, sys_, radius, n_pairs)
     signals = draw_signals(rng, sys_.input_channels, radius, tau, n_pairs)
     pairs = []
     for i in range(n_pairs):
@@ -702,9 +701,7 @@ def _run_admissibility(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> 
         "q": "inf" if q == math.inf else q,
         "operator_class": B.declared_class.describe(),
     }
-    with open(os.path.join(out_dir, "estimate.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "estimate.json"), payload)
     bad = []
     expect = sc.get("expect") or {}
     if "slope" in expect and not _in_range(est.fitted_exponent, expect["slope"]):
@@ -756,9 +753,7 @@ def _run_bcs(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
         raise ScenarioError(f"bcs: {e}") from e
     os.makedirs(out_dir, exist_ok=True)
     payload = {"family": name, "n_modes": n, **report.as_dict()}
-    with open(os.path.join(out_dir, "crosscheck.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "crosscheck.json"), payload)
     expect = sc.get("expect") or {"passed": True}
     bad = []
     if "passed" in expect and report.passed != expect["passed"]:
@@ -786,4 +781,6 @@ def run_scenario(sc: dict, out_dir: str, seed: Optional[int] = None,
     """Execute a validated scenario; returns the process exit code
     (0 success, 2 expectation mismatch, 3 a solve or burgers run whose
     certification failed and was not expected to)."""
+    if modes is not None and modes < 1:
+        raise ScenarioError(f"modes must be >= 1, got {modes}")
     return _RUNNERS[sc["task"]](sc, out_dir, seed, substeps, modes, quiet)

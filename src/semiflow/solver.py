@@ -9,9 +9,10 @@ On each window [0, t1] the fixed-point map
 is iterated from the free evolution T(tau) x0.  The window length is chosen
 so that the zero-class admissibility constant of the B2 channel times the
 local Lipschitz constant stays below CONTRACTION_TARGET = 1/2, and so that
-the invariance ball around the window's start state is certified.  The
-window kernel gets the input as a polynomial p on the window (windows end
-on the breakpoints of a piecewise-constant u, the constant p = u(0) there).
+the invariance ball around the window's start state is certified.  solve
+reads each window's input polynomial p and the sups select_step charges off
+u itself (_window_input; windows end on a piecewise-constant u's breakpoints,
+so p is one cell's constant there), and the window kernel gets p.
 The semigroup's window method (DiagonalSemigroup.window, DenseGenerator.window)
 turns it into the exact linear part on the whole substep grid, and into the
 weights of the nonlinear term: piecewise-linear-in-time reconstruction of
@@ -285,9 +286,8 @@ class EvolutionSystem:
     def input_regularity_deficit(self) -> bool:
         """True when some block's declared smoothness falls short of
         analytic_alpha."""
-        return self.alpha > 0.0 and any(
-            isinstance(op.declared_class, SmoothClass)
-            and op.declared_class.alpha <= self.alpha for op in self.input_blocks)
+        return any(isinstance(op.declared_class, SmoothClass)
+                   and op.declared_class.alpha <= self.alpha for op in self.input_blocks)
 
     @property
     def input_channels(self) -> int:
@@ -534,16 +534,28 @@ def select_step(sys: EvolutionSystem, K: float, u_sup: float,
 # Picard iteration on one window
 
 
-def _window_poly(u: DrivingSignal, t1: float) -> PolySignal:
-    """u on [0, t1] as a polynomial; a piecewise-constant u must not break before t1."""
+def _window_input(u: DrivingSignal, t: float, cap: float,
+                  columns: Sequence[slice]) -> Tuple[PolySignal, List[float], float]:
+    """u on the window [t, t + cap] in the window's time: the polynomial p the
+    kernel convolves, the sup over [0, cap] of each block's columns, and the
+    joint sup (the one block's, if only one).  A piecewise-constant u is
+    read on its own grid, no shifted signal built: the sups take the rows
+    from cell i, holding t, to the last cell that begins before t + cap (by
+    the differences grid - t that u.shift(t) holds).  p is cell k, holding
+    t + 1e-13: solve's marks skip breakpoints g <= t + 1e-13, so the window
+    lies in cell k but for those slivers and a last cell within 1e-13 of t_end."""
     if isinstance(u, PolySignal):
-        return u
-    # a first cell shorter than 1e-13 counts as the next one: solve's
-    # window marks skip breakpoints that close
-    i = min(int(np.searchsorted(u.grid, 1e-13, side="right")) - 1, u.values.shape[0] - 1)
-    if u.grid[i + 1] < t1 - 1e-12:
-        raise ValueError(f"input has a breakpoint at {u.grid[i + 1]:.6g} inside [0, {t1:.6g}]")
-    return PolySignal(u.values[i : i + 1])
+        p = u.shift(t) if t > 0 else u
+        sups = [p.sup_norm(0.0, cap, cols) for cols in columns]
+        return p, sups, sups[0] if len(sups) == 1 else p.sup_norm(0.0, cap)
+    grid, values = u.grid, u.values
+    last = values.shape[0] - 1
+    i = min(max(int(grid.searchsorted(t, "right")) - 1, 0), last)
+    rows = values[i : min(i + int(np.count_nonzero(grid[i + 1 :] - t < cap)), last) + 1]
+    k = min(int(grid.searchsorted(t + 1e-13, "right")) - 1, last)
+    sups = [_max_row_norm(rows[:, cols]) for cols in columns]
+    return (PolySignal(values[k : k + 1]), sups,
+            sups[0] if len(sups) == 1 else _max_row_norm(rows))
 
 
 class _WindowFailure(Exception):
@@ -623,7 +635,9 @@ def solve(sys: EvolutionSystem, x0: SpectralState, u: Optional[DrivingSignal],
     c_t * L by more than roundoff (_RATIO_ROUNDOFF) fails too: the discrete
     map integrates the piecewise-linear interpolant of the f samples
     exactly, and that interpolant's sup is at most the samples' sup, so in
-    exact arithmetic its ratio is at most c_t * L."""
+    exact arithmetic its ratio is at most c_t * L.  A window's input
+    polynomial and sups come from _window_input, off u's own grid; with B,
+    u must carry exactly B's channels."""
     cfg = cfg or SolverConfig()
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -631,6 +645,8 @@ def solve(sys: EvolutionSystem, x0: SpectralState, u: Optional[DrivingSignal],
         u = InputSignal.zero(sys.input_channels, t_end)
     if u.horizon < t_end - 1e-12:
         raise ValueError(f"input defined to {u.horizon}, solve needs {t_end}")
+    if sys.input_blocks and u.m != sys.input_channels:
+        raise ValueError(f"input has {u.m} channels, B takes {sys.input_channels}")
     if sys.alpha > 0.0 and outside_x_alpha(sys.weights * x0.coeffs):
         raise ValueError(
             "initial state not in X_alpha: weighted mass keeps growing "
@@ -666,10 +682,7 @@ def solve(sys: EvolutionSystem, x0: SpectralState, u: Optional[DrivingSignal],
         K = sys.working_norm(x)
         next_mark = next(m for m in marks if m > t + 1e-13)
         cap = min(cfg.window_cap, next_mark - t)
-        u_loc = u.shift(t) if t > 0 else u
-        block_sups = [u_loc.sup_norm(0.0, cap, cols) for cols in sys.input_columns]
-        # a single block's sup is the joint one
-        u_sup = block_sups[0] if len(block_sups) == 1 else u_loc.sup_norm(0.0, cap)
+        p, block_sups, u_sup = _window_input(u, t, cap, sys.input_columns)
         try:
             t1 = select_step(sys, K, u_sup, cfg, start_state=x, cap=cap,
                              block_sups=block_sups, previous=previous)
@@ -682,8 +695,7 @@ def solve(sys: EvolutionSystem, x0: SpectralState, u: Optional[DrivingSignal],
         c_t = sys.gain(t1)
 
         try:
-            tau, y, iters, contraction = _picard_window_raw(
-                sys, x, _window_poly(u_loc, t1), t1, cfg)
+            tau, y, iters, contraction = _picard_window_raw(sys, x, p, t1, cfg)
             if contraction > c_t * lipschitz + _RATIO_ROUNDOFF:
                 raise _WindowFailure(
                     f"observed Picard contraction {contraction:.3g} exceeds the "
@@ -897,6 +909,13 @@ def _write_rows(fh, columns: Sequence[np.ndarray]) -> None:
         fh.write("\n")
 
 
+def _write_json(path: str, payload) -> None:
+    """payload as indented JSON, keys sorted, newline-terminated: rerun-stable bytes."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def trajectory_to_csv(traj: Trajectory, path: str) -> None:
     """CSV columns t, norm_X [, norm_Xalpha], coeff_1..coeff_N."""
     names = ["t", "norm_X"]
@@ -920,6 +939,4 @@ def trajectory_diagnostics_json(traj: Trajectory, path: str) -> None:
         # the fields are scalars, so each record's own dict serves as is
         "windows": [vars(d) for d in traj.diagnostics],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)

@@ -123,7 +123,7 @@ def test_A3_cocycle_residual_ladder():
 
     sys_a = _arctan_system(12, gain=0.5, input_gain=0.4)
     for _ in range(12):
-        x0 = SpectralState(draw_states(rng, 12, 0.8, 1)[0])
+        x0 = SpectralState(draw_states(rng, sys_a, 0.8, 1)[0])
         t_end = float(rng.choice([0.25, 0.375, 0.5]))
         u = InputSignal.constant(rng.uniform(-0.5, 0.5, size=12), t_end)
         cap = t_end / 2.0
@@ -261,7 +261,7 @@ def test_A8_global_bound_dominates():
     grid = np.linspace(0.0, 5.0, 5)
     worst = 0.0
     for _ in range(100):
-        x0 = SpectralState(draw_states(rng, 8, 3.0, 1)[0])
+        x0 = SpectralState(draw_states(rng, sys_, 3.0, 1)[0])
         vals = rng.uniform(-1.0, 1.0, size=(4, 8))
         vals *= rng.uniform(0.0, 3.0) \
             / np.maximum(np.linalg.norm(vals, axis=1, keepdims=True), 1e-9)

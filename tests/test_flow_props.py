@@ -40,7 +40,7 @@ def arctan_system(n_modes=6, gain=0.5, input_gain=0.4):
 
 def test_draw_states_respects_radius():
     rng = np.random.default_rng(0)
-    states = draw_states(rng, 8, 0.7, 10)
+    states = draw_states(rng, arctan_system(8), 0.7, 10)
     assert len(states) == 10
     for x in states:
         assert np.linalg.norm(x) <= 0.7 + 1e-12
@@ -54,7 +54,7 @@ def test_draw_states_pass_the_solver_x_alpha_screen():
     # to fail the screen that solve applies to initial states
     sg = heat_dirichlet_semigroup(8)
     sys = EvolutionSystem(sg, arctan_saturation(8, gain=0.5), analytic_alpha=0.5)
-    states = draw_states(np.random.default_rng(0), 8, 1.0, 2000, sys.weights)
+    states = draw_states(np.random.default_rng(0), sys, 1.0, 2000)
     assert len(states) == 2000
     for x in states:
         assert sys.working_norm(x) <= 1.0 + 1e-12

@@ -198,6 +198,19 @@ def test_non_finite_solver_setting_exits_1(tmp_path, capsys, name, value):
     assert f"solver config: {name} must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["heat_decay.json", "burgers_driven.json",
+                                  "bcs_quadratic.json", "admissibility_boundary.json"])
+@pytest.mark.parametrize("modes", ["0", "-2"])
+def test_nonpositive_modes_override_exits_1(tmp_path, capsys, name, modes):
+    # the runners read `modes or <scenario value>`, so --modes 0 used to run
+    # the scenario's own mode count and exit 0
+    out = tmp_path / "out"
+    rc = main([repo_scenario(name), "--out", str(out), "--quiet", "--modes", modes])
+    assert rc == 1
+    assert f"error: modes must be >= 1, got {modes}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_blowup_scenario(tmp_path):
     out = tmp_path / "out"
     rc = main([repo_scenario("blowup_square.json"), "--out", str(out), "--quiet"])

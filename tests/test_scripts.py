@@ -3,6 +3,7 @@ small problem, must exit 0, and must end on its summary line."""
 
 import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -187,3 +188,23 @@ def test_bench_pairs_tier1_durations_on_canned_pytest_output():
         "test_A10_equilibrium_persistence_table"]
     assert s["parent"]["acceptance_median_s"]["test_A10_equilibrium_persistence_table"] == 5.5
     assert s["change"]["acceptance_median_s"]["test_A10_equilibrium_persistence_table"] == 4.25
+
+
+def test_design_metrics_on_a_temporary_tree(tmp_path):
+    pkg = tmp_path / "src" / "semiflow"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text(
+        '__all__ = ["f", "g"]\n'
+        "if sys.alpha > 0.0:\n"
+        "    pass\n"
+        "if isinstance(sg, DenseGenerator) or a > 0.0:\n"
+        "    pass\n"
+        "x = sys.alpha >= 0.0\n")
+    # the re-exported "f" counts once
+    (pkg / "__init__.py").write_text('from .a import f\n__all__ = ["f", "h"]\n')
+    # lines outside src/semiflow count toward src_lines only
+    (tmp_path / "src" / "other.py").write_text("if analytic_alpha is None:\n    pass\n")
+    run = subprocess.run([sys.executable, str(SCRIPTS / "design_metrics.py"), str(tmp_path)],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {"src_lines": 10, "branch_sites": 2, "public_names": 3}

@@ -45,7 +45,6 @@ from semiflow.solver import (
     StepSelectionError,
     _mittag_leffler,
     _picard_window_raw,
-    _window_poly,
     _write_rows,
     convolve_poly,
     poly_exp_integral,
@@ -811,14 +810,6 @@ def test_window_bookkeeping():
         assert d.delta == max(1.0, d.K)
 
 
-def test_window_poly_refuses_breakpoint_inside_window():
-    u = InputSignal(np.array([0.0, 0.05, 0.2]), np.array([[1.0], [-1.0]]))
-    with pytest.raises(ValueError, match="breakpoint"):
-        _window_poly(u, 0.125)
-    # a window that ends on the breakpoint is fine
-    assert np.array_equal(_window_poly(u, 0.05).coeffs, [[1.0]])
-
-
 def test_constant_input_solve_is_the_closed_form_bit_for_bit():
     # zero f, bounded B, constant u: every sample of the one window is
     # exactly e^{mu tau} x0 + convolve(sg, B, u, tau), with no roundoff of
@@ -975,6 +966,42 @@ def test_block_validation():
                           B=(ok, InputOperator(np.ones(4), SmoothClass(0.2))))
     assert sys.input_regularity_deficit and sys.input_channels == 2
     assert len(sys.input_gain(0.1)) == 2
+
+
+def _heat_b_system(b_columns):
+    # 4-mode heat equation with an arctan f, driven through a B of b_columns
+    sg = heat_dirichlet_semigroup(4)
+    f = arctan_saturation(4, gain=0.5)
+    return EvolutionSystem(sg, f, B=InputOperator(np.ones((4, b_columns)), Bounded()))
+
+
+def _two_signals(m):
+    # a piecewise-constant and a polynomial input of m channels
+    return [InputSignal.constant(np.arange(1.0, m + 1.0), 0.5),
+            PolySignal(np.arange(1.0, 2 * m + 1.0).reshape(2, m))]
+
+
+@pytest.mark.parametrize("b_columns, m", [(1, 2), (2, 1)])
+def test_solve_refuses_an_input_that_b_does_not_take(b_columns, m):
+    # more channels than B takes used to be dropped unseen (u = [1, 100] ran
+    # exactly like u = [1]); fewer failed inside the kernel's matmul
+    sys = _heat_b_system(b_columns)
+    x0 = SpectralState(np.array([0.5, -0.2, 0.1, 0.0]))
+    for u in _two_signals(m):
+        with pytest.raises(ValueError, match=f"input has {m} channels, B takes {b_columns}"):
+            solve(sys, x0, u, 0.5)
+    for u in _two_signals(b_columns):
+        assert solve(sys, x0, u, 0.5).status.kind == "completed"
+
+
+def test_solve_without_b_leaves_the_channel_count_to_f():
+    # without B only f reads u, here its first two channels
+    sys = EvolutionSystem(heat_dirichlet_semigroup(4),
+                          arctan_saturation(4, gain=0.5, input_gain=0.4))
+    assert sys.input_channels == 1
+    x0 = SpectralState(np.array([0.5, -0.2, 0.1, 0.0]))
+    for u in _two_signals(2):
+        assert solve(sys, x0, u, 0.5).status.kind == "completed"
 
 
 def test_analytic_solve_returns_X_coordinates():
