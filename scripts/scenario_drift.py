@@ -9,10 +9,15 @@ each file is then reported as "identical" or with the largest absolute
 and relative difference over its floats (JSON floats, CSV cells, and
 whitespace-separated fields of text files); JSON integers are counts, so
 the ones that differ are counted apart ("N integer fields differ") rather
-than read as a relative drift.  The window counts of BASE and OUT follow,
-one line per diagnostics.json.  The exit code is 1 when a
-scenario run fails, when the two file sets differ, or when a non-numeric
-field differs; otherwise 0.
+than read as a relative drift.  Fields are matched by their key path in a
+JSON file ($.windows[3].t1) and by line and column in any other.  A
+non-numeric field that differs is reported at its place with both values,
+and fields that only one file has are counted per side with the first of
+each, so a JSON file that only gained fields reads "0 only in BASE".  The
+window counts of BASE and OUT follow, one line per diagnostics.json.  The
+exit code is 1 when a scenario run fails, when the two file sets differ,
+or when a non-numeric field differs or exists in one file only;
+otherwise 0.
 """
 
 import argparse
@@ -79,56 +84,79 @@ def _field(s: str):
         return s
 
 
-def _json_fields(obj):
-    if isinstance(obj, dict):
+def _json_fields(obj, path="$"):
+    """(key path, leaf) of every leaf of a JSON value; an empty list or
+    object is a leaf too."""
+    if isinstance(obj, dict) and obj:
         for k in sorted(obj):
-            yield k
-            yield from _json_fields(obj[k])
-    elif isinstance(obj, list):
-        yield len(obj)
-        for v in obj:
-            yield from _json_fields(v)
-    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        yield obj
+            yield from _json_fields(obj[k], f"{path}.{k}")
+    elif isinstance(obj, list) and obj:
+        for i, v in enumerate(obj):
+            yield from _json_fields(v, f"{path}[{i}]")
     else:
-        yield repr(obj)
+        yield path, obj
 
 
-def fields(path: Path) -> list:
-    """The file's fields in order: JSON integers as ints, other numbers as
-    floats and the rest as strings."""
+def fields(path: Path) -> dict:
+    """The file's fields by place, in order: a JSON file's leaves by key
+    path (integers as ints, other numbers as floats), any other file's
+    fields by line and column as floats where they parse, else strings."""
     text = path.read_text()
     if path.suffix == ".json":
-        return list(_json_fields(json.loads(text)))
+        return dict(_json_fields(json.loads(text)))
     sep = "," if path.suffix == ".csv" else None
-    return [_field(c) for line in text.splitlines() for c in line.split(sep)]
+    return {f"line {i}, field {j}": _field(c)
+            for i, line in enumerate(text.splitlines(), 1)
+            for j, c in enumerate(line.split(sep), 1)}
 
 
-def drift(a: Path, b: Path):
-    """(max absolute, max relative difference over the floats, number of
-    differing integers) of two files, or None when a non-numeric field or
-    the field count differs."""
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def drift(a: Path, b: Path) -> dict:
+    """How file a differs from file b, field by field on the places both
+    have: max_abs and max_rel over the floats, int_diffs (integers that
+    differ), text (place, a's and b's value of the first non-numeric field
+    that differs, or None), and only_a, only_b (places one file lacks)."""
     fa, fb = fields(a), fields(b)
-    if len(fa) != len(fb):
-        return None
-    d_abs = d_rel = 0.0
-    n_int = 0
-    for x, y in zip(fa, fb):
-        if isinstance(x, str) or isinstance(y, str):
-            if x != y:
-                return None
+    d = {"max_abs": 0.0, "max_rel": 0.0, "int_diffs": 0, "text": None,
+         "only_a": [p for p in fa if p not in fb], "only_b": [p for p in fb if p not in fa]}
+    for place, x in fa.items():
+        if place not in fb:
+            continue
+        y = fb[place]
+        if not (_number(x) and _number(y)):
+            if d["text"] is None and (type(x) is not type(y) or x != y):
+                d["text"] = (place, x, y)
         elif isinstance(x, int) and isinstance(y, int):
-            n_int += x != y
+            d["int_diffs"] += x != y
         elif x != y and not (math.isnan(x) and math.isnan(y)):
-            d = abs(x - y)
-            d_abs = max(d_abs, d)
-            d_rel = max(d_rel, d / max(abs(x), abs(y)))
-    return d_abs, d_rel, n_int
+            diff = abs(x - y)
+            d["max_abs"] = max(d["max_abs"], diff)
+            d["max_rel"] = max(d["max_rel"], diff / max(abs(x), abs(y)))
+    return d
+
+
+def _report(d: dict):
+    """(report text, whether the difference is numeric only) for drift(OUT, BASE)."""
+    if d["text"] is not None:
+        place, x, y = d["text"]
+        line = f"non-numeric field differs at {place}: OUT {x!r}, BASE {y!r}"
+    else:
+        line = f"max abs {d['max_abs']:.3e}, max rel {d['max_rel']:.3e}"
+        if d["int_diffs"]:
+            line += f", {d['int_diffs']} integer fields differ"
+    only = [f"{len(d[k])} only in {side}" + (f" (first {d[k][0]})" if d[k] else "")
+            for k, side in (("only_a", "OUT"), ("only_b", "BASE"))]
+    if d["only_a"] or d["only_b"]:
+        line += "; fields " + ", ".join(only)
+    return line, d["text"] is None and not (d["only_a"] or d["only_b"])
 
 
 def compare(out: Path, base: Path):
     """One report line per file of out and base; the bool is False when the
-    file sets differ or a non-numeric field differs."""
+    file sets differ, or a non-numeric field differs or is in one file only."""
     new, old = output_files(out), output_files(base)
     lines, ok = [], True
     for name in sorted(new.keys() | old.keys()):
@@ -138,15 +166,9 @@ def compare(out: Path, base: Path):
         elif new[name] == old[name]:
             lines.append(f"{name}: identical")
         else:
-            d = drift(out / name, base / name)
-            if d is None:
-                lines.append(f"{name}: non-numeric field differs")
-                ok = False
-            else:
-                line = f"{name}: max abs {d[0]:.3e}, max rel {d[1]:.3e}"
-                if d[2]:
-                    line += f", {d[2]} integer fields differ"
-                lines.append(line)
+            line, numeric = _report(drift(out / name, base / name))
+            lines.append(f"{name}: {line}")
+            ok = ok and numeric
     return lines, ok
 
 

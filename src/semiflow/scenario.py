@@ -2,9 +2,16 @@
 
 A scenario names a task (solve, burgers, props, admissibility, bcs) and
 the objects it needs.  Validation is two-stage: a JSON schema for shape,
-then the builders for semantic constraints (mode counts, operator
-classes, registry names).  Both raise ScenarioError before anything is
-written, so a bad config never leaves partial outputs behind.
+then the objects it builds for semantic constraints (mode and channel
+counts, operator classes, registry names).  Both raise ScenarioError
+before anything is written, so a bad config leaves no partial outputs.
+The rule: a ValueError raised while a section (semigroup, system, input,
+solver config, the task's run, ...) is built or run is a config error,
+refused by _section as "<section>: <message>".  _build_named, the one
+registry call, also counts an unknown name (KeyError) and params the
+builder does not take or cannot use (TypeError) as config errors; a
+KeyError or TypeError anywhere else is a bug and surfaces as one.  Each
+fact is checked once, by the object that owns it.
 
 Runs are deterministic: given the same scenario and overrides, the output
 files are byte-identical.  Every CSV table (trajectories, Burgers
@@ -22,6 +29,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -115,7 +123,7 @@ _OPERATOR = {
     "oneOf": [{"required": ["coeffs"]}, {"required": ["identity"]}],
     "properties": {
         "coeffs": {"oneOf": [_NUM_ARRAY, _MATRIX]},
-        "identity": {"type": "boolean"},
+        "identity": {"const": True},
         "scale": _NUMBER,
         "class": _CLASS,
     },
@@ -361,7 +369,7 @@ def load_scenario(path: str) -> dict:
     if not isinstance(sc, dict):
         raise ScenarioError("scenario must be a JSON object")
     task = sc.get("task")
-    if task not in COMMAND_SCHEMAS:
+    if not isinstance(task, str) or task not in COMMAND_SCHEMAS:
         known = ", ".join(sorted(COMMAND_SCHEMAS))
         raise ScenarioError(f"unknown task {task!r}; expected one of: {known}")
     import jsonschema
@@ -377,15 +385,33 @@ def load_scenario(path: str) -> dict:
 # builders (semantic validation)
 
 
-def _build_semigroup(spec: dict, modes: Optional[int]):
-    if "family" in spec:
-        name = spec["family"]
-        if name not in SEMIGROUP_FAMILIES:
-            known = ", ".join(sorted(SEMIGROUP_FAMILIES))
-            raise ScenarioError(f"unknown semigroup family {name!r}; have: {known}")
-        n = modes or spec.get("n_modes", 64)
-        return SEMIGROUP_FAMILIES[name](n, omega=spec.get("omega", 1.0))
+@contextmanager
+def _section(name: str, errors=(ValueError,)):
+    """Refuse an error raised while the named section is built or run as
+    ScenarioError("<name>: <message>")."""
     try:
+        yield
+    except errors as e:
+        raise ScenarioError(f"{name}: {e}") from e
+
+
+def _build_named(make, spec: dict, section: str, *args):
+    """make(name, *args, params) for a {"name", "params"} spec.  Both come
+    from the file, so an unknown name (KeyError) and params the builder
+    does not take or cannot use (TypeError) are config errors here."""
+    with _section(section, (KeyError, TypeError, ValueError)):
+        return make(spec["name"], *args, spec.get("params", {}))
+
+
+def _build_semigroup(spec: dict, modes: Optional[int]):
+    with _section("semigroup"):
+        if "family" in spec:
+            name = spec["family"]
+            if name not in SEMIGROUP_FAMILIES:
+                known = ", ".join(sorted(SEMIGROUP_FAMILIES))
+                raise ScenarioError(f"unknown semigroup family {name!r}; have: {known}")
+            n = modes or spec.get("n_modes", 64)
+            return SEMIGROUP_FAMILIES[name](n, omega=spec.get("omega", 1.0))
         if "mu" in spec:
             mu = np.asarray(spec["mu"], float)
             omega = spec.get("omega", float(np.max(mu)) + 1.0)
@@ -394,15 +420,13 @@ def _build_semigroup(spec: dict, modes: Optional[int]):
                 analytic=spec.get("analytic", False))
         return DenseGenerator(A=np.asarray(spec["dense"], float),
                               M=spec.get("M", 1.0), lam=spec.get("lam"))
-    except ValueError as e:
-        raise ScenarioError(f"semigroup: {e}") from e
 
 
 def _build_class(spec: Optional[dict]):
     if spec is None:
         return Bounded()
     kind = spec["kind"]
-    try:
+    with _section("operator class"):
         if kind == "bounded":
             return Bounded()
         if kind == "smooth_class":
@@ -412,21 +436,20 @@ def _build_class(spec: Optional[dict]):
         if "q" not in spec:
             raise ScenarioError("q_admissible needs a q")
         return QAdmissible(spec["q"])
-    except ValueError as e:
-        raise ScenarioError(f"operator class: {e}") from e
 
 
 def _build_operator(spec: dict, n_modes: int) -> InputOperator:
     cls = _build_class(spec.get("class"))
     scale = spec.get("scale", 1.0)
-    if spec.get("identity"):
-        coeffs = scale * np.eye(n_modes)
-    else:
-        coeffs = scale * np.asarray(spec["coeffs"], float)
-    if coeffs.shape[0] != n_modes:
-        raise ScenarioError(
-            f"operator has {coeffs.shape[0]} mode rows, semigroup has {n_modes}")
-    return InputOperator(coeffs, cls)
+    with _section("operator"):
+        if spec.get("identity"):
+            coeffs = scale * np.eye(n_modes)
+        else:
+            coeffs = scale * np.asarray(spec["coeffs"], float)
+        if coeffs.shape[0] != n_modes:
+            raise ScenarioError(
+                f"operator has {coeffs.shape[0]} mode rows, semigroup has {n_modes}")
+        return InputOperator(coeffs, cls)
 
 
 def _build_state(spec: dict, n_modes: int) -> SpectralState:
@@ -444,52 +467,38 @@ def _build_state(spec: dict, n_modes: int) -> SpectralState:
     return SpectralState(c)
 
 
-def _build_input(spec: Optional[dict], m: Optional[int] = None):
+def _build_input(spec: Optional[dict]):
     if spec is None:
         return None
-    if "poly" in spec:
-        sig = PolySignal(np.asarray(spec["poly"], float))
-    elif "constant" in spec:
-        sig = InputSignal.constant(
-            np.atleast_1d(np.asarray(spec["constant"], float)), spec["horizon"])
-    else:
-        try:
-            sig = InputSignal(np.asarray(spec["grid"], float),
-                              np.asarray(spec["values"], float))
-        except ValueError as e:
-            raise ScenarioError(f"input signal: {e}") from e
-    if m is not None and sig.m != m:
-        raise ScenarioError(f"input has {sig.m} channels, expected {m}")
-    return sig
+    with _section("input signal"):
+        if "poly" in spec:
+            return PolySignal(np.asarray(spec["poly"], float))
+        if "constant" in spec:
+            return InputSignal.constant(
+                np.atleast_1d(np.asarray(spec["constant"], float)), spec["horizon"])
+        return InputSignal(np.asarray(spec["grid"], float),
+                           np.asarray(spec["values"], float))
 
 
 def _build_cfg(spec: Optional[dict], substeps: Optional[int]) -> SolverConfig:
     kwargs = dict(spec or {})
     if substeps is not None:
         kwargs["substeps_per_window"] = substeps
-    try:
+    with _section("solver config"):
         return SolverConfig(**kwargs)
-    except ValueError as e:
-        raise ScenarioError(f"solver config: {e}") from e
 
 
 def _build_system(spec: dict, modes: Optional[int]) -> EvolutionSystem:
     sg = _build_semigroup(spec["semigroup"], modes)
     n = sg.n_modes
-    nl = spec["nonlinearity"]
-    try:
-        f = make_nonlinearity(nl["name"], n, nl.get("params", {}))
-    except (KeyError, ValueError) as e:
-        raise ScenarioError(f"nonlinearity: {e}") from e
+    f = _build_named(make_nonlinearity, spec["nonlinearity"], "nonlinearity", n)
     B = _build_operator(spec["B"], n) if "B" in spec else None
     B2 = _build_operator(spec["B2"], n) if "B2" in spec else None
-    try:
+    with _section("system"):
         return EvolutionSystem(
             semigroup=sg, f=f, B=B, B2=B2,
             analytic_alpha=spec.get("analytic_alpha"),
         )
-    except ValueError as e:
-        raise ScenarioError(f"system: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -547,16 +556,21 @@ def _finish_traj(expect: Optional[dict], traj: Trajectory, quiet: bool, summary:
 # task runners
 
 
-def _run_solve(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
-    sys_ = _build_system(sc["system"], modes)
-    x0 = _build_state(sc["x0"], sys_.n_modes)
-    u = _build_input(sc.get("input"))  # solve checks its channels against B
-    cfg = _build_cfg(sc.get("solver"), substeps)
-    traj = solve(sys_, x0, u, sc["t_end"], cfg,
-                 checkpoint_times=sc.get("checkpoints"))
+def _write_trajectory(traj: Trajectory, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     trajectory_to_csv(traj, os.path.join(out_dir, "trajectory.csv"))
     trajectory_diagnostics_json(traj, os.path.join(out_dir, "diagnostics.json"))
+
+
+def _run_solve(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
+    sys_ = _build_system(sc["system"], modes)
+    x0 = _build_state(sc["x0"], sys_.n_modes)
+    u = _build_input(sc.get("input"))
+    cfg = _build_cfg(sc.get("solver"), substeps)
+    with _section("solve"):
+        traj = solve(sys_, x0, u, sc["t_end"], cfg,
+                     checkpoint_times=sc.get("checkpoints"))
+    _write_trajectory(traj, out_dir)
     summary = (f"solve: status={traj.status.kind} t_final={traj.times[-1]:.6g} "
                f"samples={traj.n_samples} windows={len(traj.diagnostics)}")
     return _finish_traj(sc.get("expect"), traj, quiet, summary)
@@ -564,38 +578,26 @@ def _run_solve(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
 
 def _run_burgers(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
     n = modes or sc["n_modes"]
-    local = None
-    if "local_term" in sc:
-        lt = sc["local_term"]
-        try:
-            local = make_local_term(lt["name"], lt.get("params", {}))
-        except (KeyError, ValueError) as e:
-            raise ScenarioError(f"local term: {e}") from e
-    try:
-        bsys = BurgersSystem(n, local=local)
-    except ValueError as e:
-        raise ScenarioError(f"burgers: {e}") from e
+    local = (_build_named(make_local_term, sc["local_term"], "local term")
+             if "local_term" in sc else None)
     x0 = _build_state(sc["x0"], n)
-    u = _build_input(sc.get("input"), n)
-    d = _build_input(sc.get("boundary"), 1)
+    u = _build_input(sc.get("input"))
+    d = _build_input(sc.get("boundary"))
     cfg = _build_cfg(sc.get("solver"), substeps)
     snaps = sorted(sc.get("snapshot_times", []))
     cps = sorted(set(sc.get("checkpoints", [])) | set(snaps))
-    try:
+    with _section("burgers"):
+        bsys = BurgersSystem(n, local=local)
         traj = bsys.simulate(
             x0, u, d, sc["t_end"], cfg,
             checkpoint_times=cps or None,
             boundary_alpha=sc.get("boundary_alpha", 0.2),
         )
-    except ValueError as e:
-        raise ScenarioError(f"burgers: {e}") from e
-    os.makedirs(out_dir, exist_ok=True)
-    trajectory_to_csv(traj, os.path.join(out_dir, "trajectory.csv"))
-    trajectory_diagnostics_json(traj, os.path.join(out_dir, "diagnostics.json"))
-    for k, t_s in enumerate(snaps):
-        if t_s > traj.times[-1] + 1e-12:
-            break
-        z, v = bsys.physical_snapshot(traj.state_at(t_s))
+        # the snapshots the run reached, read before anything is written
+        shots = [(t_s, bsys.physical_snapshot(traj.state_at(t_s)))
+                 for t_s in snaps if t_s <= traj.times[-1] + 1e-12]
+    _write_trajectory(traj, out_dir)
+    for k, (t_s, (z, v)) in enumerate(shots):
         with open(os.path.join(out_dir, f"snapshot_{k}.csv"), "w") as fh:
             fh.write(f"# t = {t_s!r}\nz,value\n")
             _write_rows(fh, [z, v])
@@ -610,7 +612,7 @@ def _run_props(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
     the_seed = seed if seed is not None else sc.get("seed", 0)
     checks = sc["checks"]
     reports = []
-    try:
+    with _section("props"):
         if "axioms" in checks:
             p = checks["axioms"]
             reports.append(check_axioms(
@@ -641,8 +643,6 @@ def _run_props(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
             reports.append(check_brs(
                 sys_, C=p.get("bound", 1.0), tau=p.get("tau", 0.5),
                 n_samples=p.get("n_samples", 10), seed=the_seed, cfg=cfg))
-    except ValueError as e:
-        raise ScenarioError(f"props: {e}") from e
     os.makedirs(out_dir, exist_ok=True)
     reports_to_json(reports, os.path.join(out_dir, "reports.json"))
     text = format_reports(reports)
@@ -686,8 +686,9 @@ def _run_admissibility(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> 
     B = _build_operator(sc["operator"], sg.n_modes)
     q = math.inf if sc.get("q", "inf") == "inf" else 2.0
     t_grid = np.asarray(sc["t_grid"], float) if "t_grid" in sc else None
-    est = estimate_admissibility(sg, B, t_grid, q=q)
-    uppers = [measure_h(sg, B, float(t), q=q)[1] for t in est.t_grid]
+    with _section("admissibility"):
+        est = estimate_admissibility(sg, B, t_grid, q=q)
+        uppers = [measure_h(sg, B, float(t), q=q)[1] for t in est.t_grid]
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "estimate.csv"), "w") as fh:
         fh.write("t,h_lower,h_upper\n")
@@ -716,41 +717,32 @@ def _run_bcs(sc: dict, out_dir: str, seed, substeps, modes, quiet) -> int:
     if name not in BCS_FAMILIES:
         known = ", ".join(sorted(BCS_FAMILIES))
         raise ScenarioError(f"unknown boundary family {name!r}; have: {known}")
-    bcs_obj = BCS_FAMILIES[name](modes or sc.get("n_modes", 48),
-                                 omega=sc.get("omega", 1.0))
-    bcs_obj.validate()
+    with _section("bcs"):
+        bcs_obj = BCS_FAMILIES[name](modes or sc.get("n_modes", 48),
+                                     omega=sc.get("omega", 1.0))
+        bcs_obj.validate()
     n = bcs_obj.semigroup.n_modes
-    try:
+    with _section("input_poly"):
         u = PolySignal(np.asarray(sc["input_poly"], float))
-    except ValueError as e:
-        raise ScenarioError(f"input_poly: {e}") from e
-    if u.m != bcs_obj.m:
-        raise ScenarioError(f"input_poly has {u.m} channels, system has {bcs_obj.m}")
     w = None
     if "w_poly" in sc:
-        w = PolySignal(np.asarray(sc["w_poly"], float))
+        with _section("w_poly"):
+            w = PolySignal(np.asarray(sc["w_poly"], float))
     f = None
     if "nonlinearity" in sc:
-        nl = sc["nonlinearity"]
-        try:
-            f = make_nonlinearity(nl["name"], n, nl.get("params", {}))
-        except (KeyError, ValueError) as e:
-            raise ScenarioError(f"nonlinearity: {e}") from e
+        f = _build_named(make_nonlinearity, sc["nonlinearity"], "nonlinearity", n)
     x_spec = sc.get("x0", "lifted")
-    if x_spec == "lifted":
-        x0 = SpectralState(bcs_obj.lift(u.value(0.0)))
-    else:
-        x0 = _build_state(x_spec, n)
+    x0 = None if x_spec == "lifted" else _build_state(x_spec, n)
     declared = _build_class(sc["class"]) if "class" in sc else None
     cfg = None
     if "solver" in sc or substeps is not None:
         cfg = _build_cfg(sc.get("solver"), substeps)
-    try:
+    with _section("bcs"):
+        if x0 is None:
+            x0 = SpectralState(bcs_obj.lift(u.value(0.0)))
         report = representation_crosscheck(
             bcs_obj, f, x0, u, sc["tau"], w=w, declared_class=declared,
             cfg=cfg, tol=sc.get("tolerance", 1e-6))
-    except ValueError as e:
-        raise ScenarioError(f"bcs: {e}") from e
     os.makedirs(out_dir, exist_ok=True)
     payload = {"family": name, "n_modes": n, **report.as_dict()}
     _write_json(os.path.join(out_dir, "crosscheck.json"), payload)

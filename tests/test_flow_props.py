@@ -26,7 +26,9 @@ from semiflow import (
     saturated_system,
     solve,
 )
+import semiflow.solver as solver_module
 from semiflow.admissibility import outside_x_alpha
+from semiflow.core import _max_row_norm
 from semiflow.flow_props import draw_signals, draw_states
 from semiflow.nonlinearities import arctan_saturation, scalar_square
 
@@ -88,6 +90,37 @@ def test_axioms_pass_on_arctan_system():
     assert per["causality"] == 0.0
     assert per["continuity"] <= 1.0 + rep.tolerance
     assert per["cocycle"] <= 1.0 + rep.tolerance
+
+
+def test_causality_fails_when_the_window_input_looks_ahead(monkeypatch):
+    # a window input whose sups read every later cell of the signal lets the
+    # tail swapped in after s_c change the windows taken before s_c, so the
+    # two runs reach phi(s_c) along different windows; on this 12-mode
+    # arctan system causality then reads 104 at seed 1 (1.5 to 104 on
+    # seeds 0, 1, 2 and 4), where the real window input reads 0
+    window_input = solver_module._window_input
+
+    def look_ahead(u, t, cap, columns):
+        p, sups, u_sup = window_input(u, t, cap, columns)
+        if isinstance(u, InputSignal):
+            i = min(max(int(u.grid.searchsorted(t, "right")) - 1, 0), u.values.shape[0] - 1)
+            rest = u.values[i:]
+            sups = [_max_row_norm(rest[:, cols]) for cols in columns]
+            u_sup = sups[0] if len(sups) == 1 else _max_row_norm(rest)
+        return p, sups, u_sup
+
+    sg = DiagonalSemigroup(mu=-np.arange(1.0, 13.0) ** 2, omega=1.0, analytic=True)
+    sys = EvolutionSystem(sg, arctan_saturation(12, gain=0.4, input_gain=0.5),
+                          B=InputOperator(np.eye(12), Bounded()))
+    kwargs = dict(t_end=0.4, n_samples=3, seed=1, cfg=SolverConfig(substeps_per_window=16),
+                  input_radius=5.0)
+    rep = check_axioms(sys, **kwargs)
+    assert rep.passed and rep.witness["per_axiom_ratio"]["causality"] == 0.0
+    monkeypatch.setattr(solver_module, "_window_input", look_ahead)
+    rep = check_axioms(sys, **kwargs)
+    assert not rep.passed
+    assert rep.witness["per_axiom_ratio"]["causality"] > 10.0
+    assert rep.worst_ratio == rep.witness["per_axiom_ratio"]["causality"]
 
 
 def test_cocycle_residual_quadratic_in_substeps():

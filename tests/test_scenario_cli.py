@@ -211,6 +211,58 @@ def test_nonpositive_modes_override_exits_1(tmp_path, capsys, name, modes):
     assert not out.exists()
 
 
+def _repo_json(name):
+    return json.loads(open(repo_scenario(name)).read())
+
+
+def _with_params(name, params):
+    """A repo scenario with its registry entry's params replaced: the
+    nonlinearity of props_arctan and of bcs_quadratic (which has none, so
+    it gets an arctan one), the local term of burgers_driven."""
+    sc = _repo_json(name)
+    if name == "props_arctan.json":
+        sc["system"]["nonlinearity"]["params"] = params
+    elif name == "burgers_driven.json":
+        sc["local_term"]["params"] = params
+    else:
+        sc["nonlinearity"] = {"name": "arctan", "params": params}
+    return sc
+
+
+_WRONG_TYPES = [None, [1.0], {"zz": 1}]
+_IDENTITY_FALSE = _repo_json("props_arctan.json")
+_IDENTITY_FALSE["system"]["B"] = {"identity": False}
+_MALFORMED = (
+    [(_with_params("props_arctan.json", {"gain": 0.4, "input_gain": 0.5, "bogus": 1}),
+      "nonlinearity: ")]
+    + [(_with_params("props_arctan.json", {"gain": 0.4, "input_gain": 0.5, key: v}),
+        "nonlinearity: ") for key in ("gain", "input_gain") for v in _WRONG_TYPES]
+    + [(_with_params("burgers_driven.json", {"amplitude": 0.3, "bogus": 1}), "local term: ")]
+    + [(_with_params("burgers_driven.json", {"amplitude": v}), "local term: ")
+       for v in _WRONG_TYPES]
+    + [(_with_params("bcs_quadratic.json", {"gain": 0.1, "bogus": 1}), "nonlinearity: ")]
+    + [(_with_params("bcs_quadratic.json", {"gain": v}), "nonlinearity: ")
+       for v in _WRONG_TYPES]
+    + [(_IDENTITY_FALSE, "config error at $.system.B")]
+    + [(dict(_repo_json("props_arctan.json"), task=task), "unknown task ")
+       for task in (["props"], {"a": 1})]
+)
+
+
+@pytest.mark.parametrize("sc, prefix", _MALFORMED)
+def test_malformed_scenario_is_refused_with_its_section(tmp_path, capsys, sc, prefix):
+    # params the builder does not take or cannot use, an identity that is
+    # not true and a task that is not a string each used to escape as a
+    # TypeError or KeyError traceback
+    out = tmp_path / "out"
+    rc = main([write_scenario(tmp_path, sc), "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {prefix}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_blowup_scenario(tmp_path):
     out = tmp_path / "out"
     rc = main([repo_scenario("blowup_square.json"), "--out", str(out), "--quiet"])

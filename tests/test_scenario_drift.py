@@ -38,9 +38,11 @@ def test_identical_copy(drift, tmp_path):
 def test_planted_numeric_change(drift, tmp_path):
     _write_outputs(tmp_path / "base", x=0.25)
     _write_outputs(tmp_path / "out", x=0.25 + 1e-12)
-    assert drift.drift(tmp_path / "out" / "run" / "trajectory.csv",
-                       tmp_path / "base" / "run" / "trajectory.csv") == \
-        pytest.approx((1e-12, 4e-12, 0), rel=1e-3)
+    d = drift.drift(tmp_path / "out" / "run" / "trajectory.csv",
+                    tmp_path / "base" / "run" / "trajectory.csv")
+    assert (d["max_abs"], d["max_rel"]) == pytest.approx((1e-12, 4e-12), rel=1e-3)
+    assert d["int_diffs"] == 0 and d["text"] is None
+    assert d["only_a"] == d["only_b"] == []
     lines, ok = drift.compare(tmp_path / "out", tmp_path / "base")
     assert ok
     assert lines == ["run/diagnostics.json: max abs 1.000e-12, max rel 4.000e-12",
@@ -52,7 +54,8 @@ def test_changed_string_or_file_set_fails(drift, tmp_path):
     _write_outputs(tmp_path / "out", status="failed")
     lines, ok = drift.compare(tmp_path / "out", tmp_path / "base")
     assert not ok
-    assert "run/diagnostics.json: non-numeric field differs" in lines
+    assert "run/diagnostics.json: non-numeric field differs at $.status.kind: " \
+        "OUT 'failed', BASE 'completed'" in lines
     assert "run/trajectory.csv: identical" in lines
 
     (tmp_path / "out" / "run" / "extra.csv").write_text("a\n")
@@ -91,3 +94,29 @@ def test_window_counts_listed_and_compared(drift, tmp_path):
     assert listing[1].endswith("  run/trajectory.csv")
     assert drift.window_lines(tmp_path / "out", tmp_path / "base") == \
         ["run/diagnostics.json: windows BASE 1, OUT 3"]
+
+
+def test_added_fields_and_changed_field_counts_are_placed(drift, tmp_path):
+    _write_outputs(tmp_path / "base")
+    _write_outputs(tmp_path / "out", x=0.25 + 1e-12)
+    diag = tmp_path / "out" / "run" / "diagnostics.json"
+    payload = json.loads(diag.read_text())
+    payload["windows"][0].update(binding="invariance", slack=0.5)
+    diag.write_text(json.dumps(payload))
+    csv = tmp_path / "out" / "run" / "trajectory.csv"
+    csv.write_text(csv.read_text() + "1.0,0.125,x\n")
+    lines, ok = drift.compare(tmp_path / "out", tmp_path / "base")
+    assert not ok
+    # the shared fields drift numerically, and the JSON only gained fields
+    assert lines == [
+        "run/diagnostics.json: max abs 1.000e-12, max rel 4.000e-12; fields "
+        "2 only in OUT (first $.windows[0].binding), 0 only in BASE",
+        "run/trajectory.csv: max abs 1.000e-12, max rel 4.000e-12; fields "
+        "3 only in OUT (first line 4, field 1), 0 only in BASE"]
+
+    # a string that differs is named at its place with both values
+    csv.write_text(csv.read_text().replace("t,", "time,"))
+    lines, _ = drift.compare(tmp_path / "out", tmp_path / "base")
+    assert lines[1] == ("run/trajectory.csv: non-numeric field differs at line 1, field 1: "
+                        "OUT 'time', BASE 't'; fields 3 only in OUT (first line 4, field 1), "
+                        "0 only in BASE")

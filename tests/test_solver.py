@@ -721,6 +721,16 @@ def test_global_bound_window_search_bisects():
         global_bound(stiff, 1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("L", [0.5, 2.0])
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_global_bound_dominates_exact_linear_growth(L, t):
+    # x' = L x from x0 = 1 (A = 0, f = L x) reaches e^{Lt}: 1.28 to 54.6 here.
+    # The bound iterates b <- b / (1 - theta) per window (2 to 256 here);
+    # without the 1/(1 - theta) factor it would certify 1
+    sys = EvolutionSystem(DiagonalSemigroup(mu=np.array([0.0]), omega=1.0), _linear_f(1, L))
+    assert global_bound(sys, 1.0, 0.0, t) >= math.exp(L * t)
+
+
 def test_global_bound_needs_uniform_lipschitz():
     sg = DiagonalSemigroup(mu=np.array([-1.0]), omega=1.0)
     sys = EvolutionSystem(sg, scalar_square(1))
